@@ -13,7 +13,6 @@ from .analytic import (
     derive_constants,
     hit_probability,
     placement_cap,
-    rate_redundancy,
     secrecy_probability_exact,
     secrecy_probability_lower_bound,
 )
@@ -27,11 +26,11 @@ from .catalog import (
 )
 from .optimizer import (
     OcpSolution,
-    dual_bisection,
     lcc_placement,
     mpc_placement,
     placement_caps,
     solve_ocp,
+    water_filling_dual,
 )
 from .simulator import (
     HitSimResult,

@@ -10,9 +10,9 @@ from dB exactly once at the boundary.
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
+import numpy as np
 
-from .special import QuadratureConfig, beta, hyp2f1_1b
+from .special import QuadratureConfig, beta, hyp2f1_1b, integrate_semi_infinite
 
 __all__ = [
     "NetworkParams",
@@ -25,7 +25,6 @@ __all__ = [
     "secrecy_probability_exact",
     "secrecy_probability_lower_bound",
     "placement_cap",
-    "rate_redundancy",
 ]
 
 
@@ -39,9 +38,8 @@ class NetworkParams:
     """Physical and stochastic network parameters.
 
     bs_density and eaves_density are per square meter, guard_radius is in
-    meters, gamma_u / gamma_e are linear SIR thresholds, tx_power is in watts.
-    Every output of this module is invariant under scaling tx_power: it
-    cancels in all SIRs and is kept only for completeness.
+    meters, gamma_u / gamma_e are linear SIR thresholds. Transmit power
+    cancels in every SIR, so it is not a parameter.
     """
 
     bs_density: float
@@ -50,7 +48,6 @@ class NetworkParams:
     guard_radius: float
     gamma_u: float
     gamma_e: float
-    tx_power: float = 1.0
 
     def __post_init__(self):
         if not self.alpha > 2:
@@ -65,8 +62,6 @@ class NetworkParams:
             raise ValueError(f"guard_radius must be >= 0, got {self.guard_radius}")
         if not self.gamma_u > 0 or not self.gamma_e > 0:
             raise ValueError("SIR thresholds must be positive")
-        if not self.tx_power > 0:
-            raise ValueError(f"tx_power must be positive, got {self.tx_power}")
 
     @property
     def delta(self):
@@ -75,7 +70,7 @@ class NetworkParams:
     @classmethod
     def with_db_thresholds(
         cls, bs_density, eaves_density, alpha, guard_radius,
-        gamma_u_db, gamma_e_db, tx_power=1.0,
+        gamma_u_db, gamma_e_db,
     ):
         """Construct from SIR thresholds quoted in dB."""
         return cls(
@@ -85,7 +80,6 @@ class NetworkParams:
             guard_radius=guard_radius,
             gamma_u=db_to_linear(gamma_u_db),
             gamma_e=db_to_linear(gamma_e_db),
-            tx_power=tx_power,
         )
 
 
@@ -126,9 +120,16 @@ def derive_constants(params, gamma):
     kappa1 = delta * gamma**delta * beta(1.0 - delta, delta)
     kappa2 = (delta * gamma / (1.0 - delta)) * hyp2f1_1b(1.0 - delta, -gamma)
     tau1 = 1.0 + kappa2 - kappa1
-    tau2 = kappa1 * math.exp(
-        math.pi * params.eaves_density * params.guard_radius**2
-    )
+    exponent = math.pi * params.eaves_density * params.guard_radius**2
+    try:
+        tau2 = kappa1 * math.exp(exponent)
+        if tau2 == math.inf:
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(
+            f"tau2 = kappa1 * exp(pi * eaves_density * guard_radius^2) overflows "
+            f"at pi * eaves_density * guard_radius^2 = {exponent:.6g}"
+        ) from None
     return DerivedConstants(
         delta=delta, kappa1=kappa1, kappa2=kappa2, tau1=tau1, tau2=tau2, gamma=gamma
     )
@@ -148,20 +149,17 @@ def active_density(p_i, params):
     )
 
 
-def conditional_hit_probability(p_i, params, gamma_u=None):
-    """Hit probability for one file cached with probability p_i.
+def conditional_hit_probability(p, params, gamma_u=None):
+    """Hit probability of a file cached with probability p (scalar or array).
 
     Equals p / (tau1 * p + tau2) with the constants evaluated at the user
     threshold; zero at p = 0 and concave increasing in p.
     """
-    if not 0 <= p_i <= 1:
-        raise ValueError(f"p_i must lie in [0, 1], got {p_i}")
+    p = _unit_interval(p, "p_i")
     if gamma_u is None:
         gamma_u = params.gamma_u
-    if p_i == 0:
-        return 0.0
     c = derive_constants(params, gamma_u)
-    return p_i / (c.tau1 * p_i + c.tau2)
+    return _like(p, p / (c.tau1 * p + c.tau2))
 
 
 def hit_probability(policy, catalog, params):
@@ -171,12 +169,8 @@ def hit_probability(policy, catalog, params):
             f"policy length {len(policy.p)} does not match catalog size "
             f"{catalog.file_count}"
         )
-    c = derive_constants(params, params.gamma_u)
-    total = 0.0
-    for q_i, p_i in zip(catalog.popularity, policy.p):
-        if p_i > 0:
-            total += q_i * p_i / (c.tau1 * p_i + c.tau2)
-    return total
+    hits = conditional_hit_probability(policy.p, params)
+    return float(np.dot(catalog.popularity, hits))
 
 
 def secrecy_probability_lower_bound(p_i, params):
@@ -202,10 +196,8 @@ def secrecy_probability_exact(p_i, params, cfg=None):
 
     One minus the integral over the wiretapped-transmitter distance r > D of
     the eavesdropper's SIR-coverage kernel against the nearest-transmitter
-    distance density 2 pi lam_a r exp(-pi lam_a (r^2 - D^2)). The integration
-    is truncated at the radius beyond which that density carries less than
-    1e-12 tail mass (closed form), which the Gaussian-type decay makes exact
-    to well below the quadrature tolerance.
+    distance density 2 pi lam_a r exp(-pi lam_a (r^2 - D^2)), integrated
+    over [D, inf) by the convergence-checked semi-infinite quadrature.
     """
     if not 0 <= p_i <= 1:
         raise ValueError(f"p_i must lie in [0, 1], got {p_i}")
@@ -236,44 +228,40 @@ def secrecy_probability_exact(p_i, params, cfg=None):
         )
         return math.exp(-rate * r**2 + theta) * density
 
-    upper = math.sqrt(d**2 + math.log(1e12) / (math.pi * lam_a))
-    value, abserr = integrate.quad(
-        integrand,
-        d,
-        upper,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
-    )
+    value = integrate_semi_infinite(integrand, d, cfg)
     return min(1.0, max(0.0, 1.0 - value))
 
 
-def placement_cap(eps_i, params):
-    """Largest caching probability compatible with a secrecy level eps_i.
+def placement_cap(eps, params):
+    """Largest caching probability compatible with a secrecy level eps.
 
     Inverts the secrecy lower bound: the cap is min(1, tau2 (1 - eps) /
     [exp(-pi D^2 kappa1 lambda) - tau1 (1 - eps)]^+), where a clamped-to-zero
-    denominator means the constraint never binds and the cap is 1.
+    denominator means the constraint never binds and the cap is 1. Accepts a
+    scalar level or an array of levels.
     """
-    if not 0 <= eps_i <= 1:
-        raise ValueError(f"eps_i must lie in [0, 1], got {eps_i}")
+    eps = _unit_interval(eps, "eps_i")
     c = derive_constants(params, params.gamma_e)
-    numerator = c.tau2 * (1.0 - eps_i)
-    if numerator == 0.0:
-        return 0.0
+    numerator = c.tau2 * (1.0 - eps)
     denominator = (
         math.exp(-math.pi * params.guard_radius**2 * c.kappa1 * params.bs_density)
-        - c.tau1 * (1.0 - eps_i)
+        - c.tau1 * (1.0 - eps)
     )
-    if denominator <= 0.0:
-        return 1.0
-    return min(1.0, numerator / denominator)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap = np.where(
+            denominator > 0.0, np.minimum(1.0, numerator / denominator), 1.0
+        )
+    return _like(eps, np.where(numerator == 0.0, 0.0, cap))
 
 
-def rate_redundancy(gamma_e, base=math.e):
-    """Wiretap-code rate redundancy log_base(1 + gamma_e).
+def _unit_interval(x, name):
+    """x as a float array, checked to lie in [0, 1] (which also rejects NaN)."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError(f"{name} must lie in [0, 1], got {x}")
+    return x
 
-    Helper only; no formula in this package consumes it. The logarithm base
-    is explicit because conventions differ (nats vs bits).
-    """
-    return math.log1p(gamma_e) / math.log(base)
+
+def _like(x, value):
+    """value as a Python float when x is a scalar, else as an array."""
+    return float(value) if np.ndim(x) == 0 else value

@@ -13,13 +13,14 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .analytic import (
     NetworkParams,
     conditional_hit_probability,
+    db_to_linear,
     hit_probability,
     secrecy_probability_exact,
     secrecy_probability_lower_bound,
@@ -53,7 +54,6 @@ DEFAULT_PARAMS = {
     "guard_radius": 200.0,
     "gamma_u_db": -5.0,
     "gamma_e_db": -7.0,
-    "tx_power": 1.0,
 }
 DEFAULT_CATALOG = {"source": "sampled", "F": 10, "beta": 0.7, "C": 5,
                    "epsilon_max": 0.5, "seed": 1}
@@ -166,7 +166,6 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
         guard_radius=float(params_db["guard_radius"]),
         gamma_u_db=float(params_db["gamma_u_db"]),
         gamma_e_db=float(params_db["gamma_e_db"]),
-        tx_power=float(params_db["tx_power"]),
     )
     catalog_doc = doc.get("catalog", {})
     catalog = _build_catalog(catalog_doc, config_dir)
@@ -242,28 +241,11 @@ def _derive_seed(master, *path):
 
 
 def _point_params(spec, value):
-    params = spec.params
     if spec.sweep_var == "D":
-        return NetworkParams(
-            bs_density=params.bs_density,
-            eaves_density=params.eaves_density,
-            alpha=params.alpha,
-            guard_radius=value,
-            gamma_u=params.gamma_u,
-            gamma_e=params.gamma_e,
-            tx_power=params.tx_power,
-        )
+        return replace(spec.params, guard_radius=value)
     if spec.sweep_var == "gamma_e":  # sweep values quoted in dB
-        return NetworkParams(
-            bs_density=params.bs_density,
-            eaves_density=params.eaves_density,
-            alpha=params.alpha,
-            guard_radius=params.guard_radius,
-            gamma_u=params.gamma_u,
-            gamma_e=10.0 ** (value / 10.0),
-            tx_power=params.tx_power,
-        )
-    return params
+        return replace(spec.params, gamma_e=db_to_linear(value))
+    return spec.params
 
 
 def _point_catalog(spec, value):

@@ -2,12 +2,12 @@
 
 The hit-probability objective is concave in each caching probability, the
 secrecy constraints reduce to per-file upper caps, and the storage budget
-couples the files. The global optimum is a water-filling solution found by
-bisection on the budget's dual variable; MPC (most popular first) and LCC
+couples the files. The global optimum is a water-filling solution whose
+water level (the budget's dual variable) is solved exactly from the sorted
+breakpoints of the clipped budget sum; MPC (most popular first) and LCC
 (lowest secrecy level first) are greedy baselines.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +19,10 @@ __all__ = [
     "OcpSolution",
     "placement_caps",
     "solve_ocp",
-    "dual_bisection",
+    "water_filling_dual",
     "mpc_placement",
     "lcc_placement",
 ]
-
-_BISECT_MAX_ITER = 200
-_BUDGET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,9 +42,7 @@ class OcpSolution:
 
 def placement_caps(catalog, params):
     """Per-file caching caps implied by the secrecy levels."""
-    return np.array(
-        [placement_cap(e, params) for e in catalog.secrecy_levels]
-    )
+    return placement_cap(catalog.secrecy_levels, params)
 
 
 def _unconstrained_levels(q, tau1, tau2, nu):
@@ -59,76 +54,57 @@ def _clipped_total(q, tau1, tau2, caps, nu):
     return float(np.clip(_unconstrained_levels(q, tau1, tau2, nu), 0.0, caps).sum())
 
 
-def dual_bisection(catalog, params, caps):
+def water_filling_dual(catalog, params, caps):
     """Dual variable nu* at which the clipped water-filling sum equals C.
 
-    Requires sum(caps) > C. The bracket starts at nu_hi = max_i q_i / tau2
-    (the marginal value of an empty cache slot, where the sum is zero) and a
-    lower end small enough that the sum meets the budget. After bisection the
-    interior set is used to solve for nu in closed form, which pins the
-    budget residual to machine precision.
+    Requires sum(caps) > C. The clipped sum S(nu) is non-increasing, and
+    piecewise of the form a / sqrt(nu) - b between the 2F breakpoints where
+    a file enters (nu = q_i / tau2) or saturates at its cap
+    (nu = tau2 q_i / (tau1 cap_i + tau2)^2). A binary search over the sorted
+    breakpoints, evaluating S exactly as solve_ocp builds the placement,
+    finds the segment containing C; on it the interior set is fixed and the
+    budget equation solves for nu in closed form (Palomar & Fonollosa, IEEE
+    TSP 2005). A segment with no interior file has S constant, so any point
+    of it is optimal: a breakpoint where S already equals C, else the
+    segment's midpoint.
     """
     caps = np.asarray(caps, float)
     q = catalog.popularity
     budget = float(catalog.cache_size)
     if caps.sum() <= budget:
-        raise ValueError("dual_bisection requires sum(caps) > C")
+        raise ValueError("water_filling_dual requires sum(caps) > C")
     c = derive_constants(params, params.gamma_u)
     tau1, tau2 = c.tau1, c.tau2
 
-    nu_hi = float(np.max(q)) / tau2
-    nu_lo = nu_hi
-    while _clipped_total(q, tau1, tau2, caps, nu_lo) < budget:
-        nu_lo *= 0.5
-        if nu_lo < 1e-300:
-            raise RuntimeError("failed to bracket the dual variable")
-
-    for _ in range(_BISECT_MAX_ITER):
-        nu_mid = 0.5 * (nu_lo + nu_hi)
-        total = _clipped_total(q, tau1, tau2, caps, nu_mid)
-        if total >= budget:
-            nu_lo = nu_mid
+    enter = q / tau2
+    saturate = tau2 * q / (tau1 * caps + tau2) ** 2
+    points = np.sort(np.concatenate((saturate, enter)))
+    # S(points[0]) = sum(caps) > C and S(points[-1]) = 0 < C.
+    lo, hi = 0, len(points) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _clipped_total(q, tau1, tau2, caps, points[mid]) >= budget:
+            lo = mid
         else:
-            nu_hi = nu_mid
-        if nu_hi - nu_lo < 1e-12 * nu_hi:
-            break
-        if abs(total - budget) < _BUDGET_TOL:
-            nu_lo = nu_hi = nu_mid
-            break
-
-    nu = 0.5 * (nu_lo + nu_hi)
-    # Closed-form refinement: with the interior set fixed, the budget
-    # equation solves exactly for nu, pinning the residual to round-off.
-    for _ in range(len(q) + 2):
-        levels = _unconstrained_levels(q, tau1, tau2, nu)
-        interior = (levels > 0.0) & (levels < caps)
-        if not interior.any():
-            break
-        remaining = budget - float(caps[levels >= caps].sum())
-        k = int(interior.sum())
-        denom = remaining * tau1 + k * tau2
-        if denom <= 0:
-            break
-        root_sum = float(np.sqrt(q[interior]).sum())
-        nu_refined = tau2 * (root_sum / denom) ** 2
-        if not (
-            abs(_clipped_total(q, tau1, tau2, caps, nu_refined) - budget)
-            <= abs(_clipped_total(q, tau1, tau2, caps, nu) - budget)
-        ):
-            break  # active set misidentified; keep the bisection value
-        if math.isclose(nu_refined, nu, rel_tol=0.0, abs_tol=1e-18 * nu_hi):
-            nu = nu_refined
-            break
-        nu = nu_refined
-    return nu
+            hi = mid
+    nu_lo, nu_hi = points[lo], points[hi]
+    if _clipped_total(q, tau1, tau2, caps, nu_lo) == budget:
+        return float(nu_lo)
+    interior = (saturate <= nu_lo) & (enter >= nu_hi)
+    if not interior.any():
+        return float(0.5 * (nu_lo + nu_hi))
+    remaining = budget - float(caps[saturate >= nu_hi].sum())
+    root_sum = float(np.sqrt(q[interior]).sum())
+    k = int(interior.sum())
+    return tau2 * (root_sum / (remaining * tau1 + k * tau2)) ** 2
 
 
 def solve_ocp(catalog, params, caps=None):
     """Globally optimal placement maximizing hit probability.
 
     If the caps alone fit the budget the caps are optimal and the dual is
-    zero; otherwise the budget is active and the water-filling solution with
-    bisection on the dual applies.
+    zero; otherwise the budget is active and the water-filling solution at
+    the exact dual variable applies.
     """
     if caps is None:
         caps = placement_caps(catalog, params)
@@ -141,7 +117,7 @@ def solve_ocp(catalog, params, caps=None):
         nu = 0.0
         active = tuple("zero" if x == 0.0 else "capped" for x in p)
     else:
-        nu = dual_bisection(catalog, params, caps)
+        nu = water_filling_dual(catalog, params, caps)
         c = derive_constants(params, params.gamma_u)
         levels = _unconstrained_levels(q, c.tau1, c.tau2, nu)
         p = np.clip(levels, 0.0, caps)

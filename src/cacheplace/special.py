@@ -9,7 +9,7 @@ intervals.
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
+from scipy import integrate, special
 
 __all__ = [
     "QuadratureConfig",
@@ -18,11 +18,6 @@ __all__ = [
     "hyp2f1_1b",
     "integrate_semi_infinite",
 ]
-
-# Series truncation: stop once a term is below this fraction of the partial sum.
-_SERIES_EPS = 1e-16
-_SERIES_MAX_TERMS = 500_000
-
 
 class ConvergenceError(RuntimeError):
     """Quadrature did not converge within budget.
@@ -70,65 +65,15 @@ def beta(a, b):
 def hyp2f1_1b(b, z):
     """Gauss hypergeometric function 2F1(1, b; b+1; z) for 0 < b <= 1, z <= 0.
 
-    This is the only hypergeometric family the closed forms require. For
-    |z| < 0.5 the defining power series b * sum_n z^n / (b + n) is summed
-    directly; otherwise the Pfaff transformation
-
-        2F1(1, b; b+1; z) = (1 - z)^{-1} * 2F1(1, 1; b+1; z / (z - 1))
-
-    maps z <= 0 onto w = z/(z-1) in [0, 1), where the transformed series is
-    absolutely convergent. The result always lies in (0, 1] and increases
-    monotonically in z toward 1 at z = 0.
+    This is the only hypergeometric family the closed forms require; it is
+    evaluated by scipy.special.hyp2f1. The result always lies in (0, 1] and
+    increases monotonically in z toward 1 at z = 0.
     """
     if not 0 < b <= 1:
         raise ValueError(f"hyp2f1_1b requires 0 < b <= 1, got b={b}")
     if z > 0:
         raise ValueError(f"hyp2f1_1b supports only z <= 0, got z={z}")
-    if z == 0:
-        return 1.0
-    if z > -0.5:
-        return _hyp2f1_series_direct(b, z)
-    return _hyp2f1_series_pfaff(b, z)
-
-
-def _hyp2f1_series_direct(b, z):
-    # Defining series: sum_n (1)_n (b)_n / ((b+1)_n n!) z^n = sum_n b/(b+n) z^n.
-    total = 1.0
-    term = 1.0
-    zn = 1.0
-    n = 0
-    while abs(term) > _SERIES_EPS * abs(total):
-        n += 1
-        if n > _SERIES_MAX_TERMS:
-            raise ConvergenceError(
-                f"hyp2f1_1b direct series did not converge at b={b}, z={z}",
-                total,
-                abs(term),
-            )
-        zn *= z
-        term = (b / (b + n)) * zn
-        total += term
-    return total
-
-
-def _hyp2f1_series_pfaff(b, z):
-    # Pfaff-transformed series: (1-z)^{-1} sum_n n! w^n / (b+1)_n with
-    # w = z/(z-1) in [0, 1) for z <= 0.
-    w = z / (z - 1.0)
-    total = 1.0
-    term = 1.0
-    n = 0
-    while abs(term) > _SERIES_EPS * abs(total):
-        n += 1
-        if n > _SERIES_MAX_TERMS:
-            raise ConvergenceError(
-                f"hyp2f1_1b Pfaff series did not converge at b={b}, z={z}",
-                total / (1.0 - z),
-                abs(term),
-            )
-        term *= n * w / (b + n)
-        total += term
-    return total / (1.0 - z)
+    return float(special.hyp2f1(1.0, b, b + 1.0, z))
 
 
 def integrate_semi_infinite(f, lower, cfg=None):

@@ -12,7 +12,6 @@ from cacheplace.analytic import (
     derive_constants,
     hit_probability,
     placement_cap,
-    rate_redundancy,
     secrecy_probability_exact,
     secrecy_probability_lower_bound,
 )
@@ -46,7 +45,6 @@ class TestNetworkParams:
             {"eaves_density": -1e-9},
             {"guard_radius": -1.0},
             {"gamma_u": 0.0},
-            {"tx_power": 0.0},
         ],
     )
     def test_invalid(self, overrides):
@@ -109,6 +107,11 @@ class TestDeriveConstants:
         with pytest.raises(ValueError):
             derive_constants(default_params(), 0.0)
 
+    def test_guard_zone_overflow_is_a_value_error(self):
+        # pi * lambda_e * D^2 = 883.6 at D = 30 km: exp overflows tau2.
+        with pytest.raises(ValueError, match="pi \\* eaves_density"):
+            derive_constants(default_params(guard_radius=30_000.0), 1.0)
+
 
 class TestHitProbability:
     def test_zero_policy(self):
@@ -125,6 +128,16 @@ class TestHitProbability:
         assert conditional_hit_probability(1.0, params) == pytest.approx(
             1.0 / (1.0 + math.pi / 4.0), abs=1e-10
         )
+
+    def test_conditional_array_matches_scalar(self):
+        params = default_params()
+        grid = np.linspace(0.0, 1.0, 11)
+        values = conditional_hit_probability(grid, params)
+        assert values.tolist() == [
+            conditional_hit_probability(float(p), params) for p in grid
+        ]
+        with pytest.raises(ValueError):
+            conditional_hit_probability(np.array([0.5, 1.5]), params)
 
     def test_conditional_endpoints_and_concavity(self):
         params = default_params()
@@ -156,6 +169,18 @@ class TestHitProbability:
         for _ in range(50):
             policy = PlacementPolicy(rng.random(10))
             assert 0.0 <= hit_probability(policy, cat, params) <= 1.0
+
+    def test_matches_per_file_sum(self):
+        params = default_params()
+        cat = make_catalog(50, 0.9, [0.0] * 50, 25)
+        policy = PlacementPolicy(np.random.default_rng(5).random(50))
+        reference = math.fsum(
+            q * conditional_hit_probability(float(p), params)
+            for q, p in zip(cat.popularity, policy.p)
+        )
+        assert hit_probability(policy, cat, params) == pytest.approx(
+            reference, rel=1e-14
+        )
 
     def test_length_mismatch(self):
         cat = make_catalog(5, 0.7, [0.1] * 5, 2)
@@ -264,25 +289,12 @@ class TestPlacementCap:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             placement_cap(1.5, default_params())
+        with pytest.raises(ValueError):
+            placement_cap(np.array([0.2, math.nan]), default_params())
 
-
-class TestPowerInvariance:
-    def test_all_outputs_ignore_tx_power(self):
-        base = default_params(tx_power=1.0)
-        scaled = default_params(tx_power=100.0)
-        assert conditional_hit_probability(0.4, base) == conditional_hit_probability(
-            0.4, scaled
-        )
-        assert secrecy_probability_exact(0.4, base) == secrecy_probability_exact(
-            0.4, scaled
-        )
-        assert secrecy_probability_lower_bound(
-            0.4, base
-        ) == secrecy_probability_lower_bound(0.4, scaled)
-        assert placement_cap(0.3, base) == placement_cap(0.3, scaled)
-
-
-def test_rate_redundancy_bases():
-    assert rate_redundancy(1.0) == pytest.approx(math.log(2.0), rel=1e-14)
-    assert rate_redundancy(1.0, base=2) == pytest.approx(1.0, rel=1e-14)
-    assert rate_redundancy(0.0) == 0.0
+    def test_array_matches_scalar(self):
+        params = default_params()
+        levels = np.array([0.0, 0.01, 0.2, 0.5, 0.9, 1.0])
+        caps = placement_cap(levels, params)
+        assert isinstance(caps, np.ndarray)
+        assert caps.tolist() == [placement_cap(float(e), params) for e in levels]

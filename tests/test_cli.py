@@ -283,6 +283,36 @@ class TestSolveCommand:
 
 
 class TestErrorHandling:
+    def test_unread_tx_power_key_is_ignored(self, tmp_path):
+        out = str(tmp_path / "r.csv")
+        base = {"catalog": SMALL_CATALOG,
+                "sweep": {"variable": "beta", "values": [0.5]}}
+        plain = write_config(tmp_path, base, "plain.json")
+        with_power = write_config(
+            tmp_path, {**base, "params": {"tx_power": 5.0}}, "power.json"
+        )
+        assert main(["sweep", "--config", plain, "--out", out, "--no-sim"]) == 0
+        expected = open(out, "rb").read()
+        assert main(["sweep", "--config", with_power, "--out", out, "--no-sim"]) == 0
+        assert open(out, "rb").read() == expected
+
+    def test_guard_zone_overflow_exits_2(self, tmp_path, capsys):
+        # pi * lambda_e * D^2 = 883.6 at D = 30 km overflows exp().
+        config = write_config(
+            tmp_path, {"catalog": SMALL_CATALOG, "params": {"guard_radius": 30000}}
+        )
+        assert main(["solve", "--config", config]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_high_eavesdropper_threshold_solves(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, {"catalog": SMALL_CATALOG, "params": {"gamma_e_db": 70}}
+        )
+        assert main(["solve", "--config", config]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        values = doc["p_star"] + doc["caps"] + [doc["dual"], doc["objective"]]
+        assert all(np.isfinite(values))
+
     def test_missing_config_file(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert main(["solve", "--config", missing]) == 2

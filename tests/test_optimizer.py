@@ -1,7 +1,11 @@
 """Tests for the water-filling placement solver and the greedy baselines."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cacheplace.analytic import (
     NetworkParams,
@@ -13,11 +17,11 @@ from cacheplace.analytic import (
 from cacheplace.catalog import PlacementPolicy, make_catalog, sample_secrecy_levels
 from cacheplace.optimizer import (
     _clipped_total,
-    dual_bisection,
     lcc_placement,
     mpc_placement,
     placement_caps,
     solve_ocp,
+    water_filling_dual,
 )
 
 BS_DENSITY = 1.0 / 800.0**2
@@ -175,25 +179,77 @@ class TestSolveOcp:
 
 
 class TestDualBisection:
+    """The breakpoint search for the budget's dual variable."""
+
     def test_requires_tight_budget(self):
         params = default_params()
         cat = make_catalog(5, 0.7, [0.95] * 5, 4)
         caps = placement_caps(cat, params)
         with pytest.raises(ValueError):
-            dual_bisection(cat, params, caps)
+            water_filling_dual(cat, params, caps)
 
     def test_clipped_total_decreasing_in_dual(self):
         params = default_params()
         cat = make_catalog(8, 0.7, [0.2] * 8, 4)
         caps = placement_caps(cat, params)
         c = derive_constants(params, params.gamma_u)
-        nu_star = dual_bisection(cat, params, caps)
+        nu_star = water_filling_dual(cat, params, caps)
         totals = [
             _clipped_total(cat.popularity, c.tau1, c.tau2, caps, nu_star * s)
             for s in [0.25, 0.5, 1.0, 2.0, 4.0]
         ]
         assert all(t1 >= t2 for t1, t2 in zip(totals, totals[1:]))
-        assert totals[2] == pytest.approx(cat.cache_size, abs=1e-8)
+        assert totals[2] == pytest.approx(cat.cache_size, abs=1e-12)
+
+
+def assert_water_filling_certificate(catalog, params):
+    """Budget met to 1e-12 C when it binds; KKT stationarity to 1e-6 nu."""
+    sol = solve_ocp(catalog, params)
+    budget = catalog.cache_size
+    if sol.caps.sum() > budget:
+        assert abs(math.fsum(sol.policy.p) - budget) <= 1e-12 * budget
+    c = derive_constants(params, params.gamma_u)
+    marginal = catalog.popularity * c.tau2 / (c.tau1 * sol.policy.p + c.tau2) ** 2
+    slack = 1e-6 * sol.dual
+    for value, state in zip(marginal, sol.active_set):
+        if state == "interior":
+            assert abs(value - sol.dual) <= slack
+        elif state == "capped":
+            assert value >= sol.dual - slack
+        else:
+            assert value <= sol.dual + slack
+
+
+@st.composite
+def random_catalogs(draw):
+    # Levels of exactly 0 give caps of exactly 1, so with an integer budget
+    # the dual is often not unique (no file is interior).
+    file_count = draw(st.integers(2, 30))
+    levels = st.one_of(st.just(0.0), st.floats(0.0, 0.95))
+    return make_catalog(
+        file_count,
+        draw(st.floats(0.0, 1.5)),
+        draw(st.lists(levels, min_size=file_count, max_size=file_count)),
+        draw(st.integers(1, file_count - 1)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_catalogs())
+def test_water_filling_certificate_on_random_catalogs(catalog):
+    assert_water_filling_certificate(catalog, default_params())
+
+
+@pytest.mark.parametrize("guard_km", [1, 2, 3, 5, 8, 15])
+@pytest.mark.parametrize("levels", ["sampled", "zero"])
+def test_water_filling_certificate_at_large_guard_radius(guard_km, levels):
+    # tau2 / tau1 grows as exp(pi lambda_e D^2), to ~1e96 at D = 15 km, where
+    # each file jumps from 0 to its cap within one ulp of nu.
+    eps = sample_secrecy_levels(10, 0.5, seed=1) if levels == "sampled" else [0.0] * 10
+    catalog = make_catalog(10, 0.7, eps, 5)
+    assert_water_filling_certificate(
+        catalog, default_params(guard_radius=1000.0 * guard_km)
+    )
 
 
 class TestBaselines:

@@ -141,16 +141,6 @@ class TestSimulateHit:
         b = simulate_hit(policy, cat, params, cfg)
         assert a == b
 
-    def test_tx_power_never_enters(self):
-        params1 = default_params(tx_power=1.0)
-        params2 = default_params(tx_power=250.0)
-        cat = make_catalog(2, 0.7, [0.0, 0.0], 1)
-        policy = PlacementPolicy(np.array([0.6, 0.2]), cache_size=1)
-        cfg = SimConfig(trials=300, seed=4)
-        assert simulate_hit(policy, cat, params1, cfg) == simulate_hit(
-            policy, cat, params2, cfg
-        )
-
     def test_policy_length_mismatch(self):
         cat = make_catalog(3, 0.7, [0.0] * 3, 1)
         with pytest.raises(ValueError):
@@ -195,12 +185,6 @@ class TestSimulateSecrecy:
         assert abs(base.estimate - wide.estimate) <= (
             base.ci95_halfwidth + wide.ci95_halfwidth
         )
-
-    def test_tx_power_never_enters(self):
-        cfg = SimConfig(trials=300, seed=6)
-        a = simulate_secrecy(0.7, default_params(tx_power=1.0), cfg)
-        b = simulate_secrecy(0.7, default_params(tx_power=500.0), cfg)
-        assert a == b
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

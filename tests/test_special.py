@@ -9,8 +9,6 @@ from scipy import integrate
 from cacheplace.special import (
     ConvergenceError,
     QuadratureConfig,
-    _hyp2f1_series_direct,
-    _hyp2f1_series_pfaff,
     beta,
     hyp2f1_1b,
     integrate_semi_infinite,
@@ -57,7 +55,7 @@ class TestHyp2f1:
     def test_arctan_closed_form(self):
         # 2F1(1, 1/2; 3/2; -x^2) = arctan(x) / x
         assert hyp2f1_1b(0.5, -1.0) == pytest.approx(math.pi / 4, rel=1e-10)
-        for x in [0.1, 0.5, 1.3, 4.0, 20.0]:
+        for x in [0.1, 0.5, 1.3, 4.0, 20.0, 1e2, 1e3, math.sqrt(1e7)]:
             assert hyp2f1_1b(0.5, -(x**2)) == pytest.approx(
                 math.atan(x) / x, rel=1e-10
             )
@@ -65,16 +63,8 @@ class TestHyp2f1:
     def test_log_closed_form(self):
         # 2F1(1, 1; 2; -x) = ln(1 + x) / x
         assert hyp2f1_1b(1.0, -1.0) == pytest.approx(math.log(2), rel=1e-10)
-        for x in [0.05, 0.4, 2.5, 40.0]:
+        for x in [0.05, 0.4, 2.5, 40.0, 1e3, 1e5, 1e7]:
             assert hyp2f1_1b(1.0, -x) == pytest.approx(math.log1p(x) / x, rel=1e-10)
-
-    def test_series_agreement_on_overlap(self):
-        # Direct and Pfaff evaluations must agree on z in (-1, 0].
-        for b in [0.1, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.9, 1.0]:
-            for z in np.linspace(-0.99, -0.01, 25):
-                direct = _hyp2f1_series_direct(b, z)
-                pfaff = _hyp2f1_series_pfaff(b, z)
-                assert direct == pytest.approx(pfaff, rel=1e-9)
 
     def test_monotone_in_z_and_bounded(self):
         for b in [0.25, 2.0 / 3.0, 1.0]:
