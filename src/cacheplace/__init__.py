@@ -37,8 +37,8 @@ from .simulator import (
     SimConfig,
     SimEstimate,
     sample_ppp,
+    simulate_file_secrecy,
     simulate_hit,
-    simulate_secrecy,
 )
 from .special import (
     ConvergenceError,

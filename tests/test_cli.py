@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -13,7 +14,9 @@ from cacheplace.cli import (
     main,
     parse_spec,
     run_sweep,
+    run_validate,
 )
+from cacheplace.simulator import simulate_file_secrecy
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -122,7 +125,7 @@ class TestSweepCommand:
         assert sidecar["params"]["gamma_u_linear"] == pytest.approx(10 ** (-0.5))
         assert sidecar["params"]["gamma_u_db"] == -5.0
 
-    def test_byte_identical_across_runs_and_threads(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         config = write_config(
             tmp_path,
             {
@@ -132,13 +135,9 @@ class TestSweepCommand:
             },
         )
         outputs = []
-        for name, threads in [("a.csv", "1"), ("b.csv", "1"), ("c.csv", "3")]:
+        for name in ("a.csv", "b.csv", "c.csv"):
             out = str(tmp_path / name)
-            os.environ["CACHEPLACE_THREADS"] = threads
-            try:
-                assert main(["sweep", "--config", config, "--out", out]) == 0
-            finally:
-                del os.environ["CACHEPLACE_THREADS"]
+            assert main(["sweep", "--config", config, "--out", out]) == 0
             outputs.append(open(out, "rb").read())
         assert outputs[0] == outputs[1]
         assert outputs[0] == outputs[2]
@@ -214,6 +213,26 @@ class TestSweepCommand:
         )
         assert main(["sweep", "--config", config, "--no-sim"]) == 2
 
+    def test_one_secrecy_simulation_per_point_and_scheme(self, monkeypatch):
+        calls = []
+
+        def counting(p, params, cfg):
+            calls.append(len(p))
+            return simulate_file_secrecy(p, params, cfg)
+
+        monkeypatch.setattr("cacheplace.cli.simulate_file_secrecy", counting)
+        spec = parse_spec(
+            {
+                "catalog": SMALL_CATALOG,
+                "sweep": {"variable": "beta", "values": [0.2, 0.8]},
+                "schemes": ["OCP", "MPC"],
+                "sim": {"trials": 5, "seed": 3},
+            }
+        )
+        rows = run_sweep(spec)
+        assert calls == [4] * 4
+        assert all(r["secrecy_sim"] is not None for r in rows if r["file_index"])
+
     def test_run_sweep_row_order_is_point_major(self, tmp_path):
         spec = parse_spec(
             {
@@ -259,6 +278,25 @@ class TestValidateCommand:
         captured = capsys.readouterr().out
         assert "ci-wide" in captured
         assert code in (0, 1)
+
+    def test_one_secrecy_simulation_for_the_grid(self, monkeypatch):
+        calls = []
+
+        def counting(p, params, cfg):
+            calls.append(list(p))
+            return simulate_file_secrecy(p, params, cfg)
+
+        monkeypatch.setattr("cacheplace.cli.simulate_file_secrecy", counting)
+        spec = parse_spec(
+            {
+                "catalog": SMALL_CATALOG,
+                "sim": {"trials": 5, "seed": 3},
+                "validate": {"hit_p": [0.5], "secrecy_p": [0.2, 0.5, 0.8]},
+            }
+        )
+        report, _ = run_validate(spec)
+        assert calls == [[0.2, 0.5, 0.8]]
+        assert len(report) == 4 + 2 * 3
 
     def test_requires_simulation(self, tmp_path):
         config = write_config(tmp_path, {"catalog": SMALL_CATALOG})
@@ -322,15 +360,30 @@ class TestErrorHandling:
         path.write_text("{not json")
         assert main(["solve", "--config", str(path)]) == 2
 
-    def test_bad_thread_env(self, tmp_path):
+    @pytest.mark.parametrize(
+        ("doc", "field"),
+        [
+            ({"params": {"bs_density": math.inf}}, "bs_density"),
+            ({"params": {"eaves_density": math.nan}}, "eaves_density"),
+            ({"catalog": {**SMALL_CATALOG, "epsilon": [0.1, math.nan, 0.2, 0.4]}},
+             "secrecy_levels"),
+            ({"catalog": SMALL_CATALOG, "schemes": ["FIXED"], "fixed_policy": math.nan,
+              "sweep": {"variable": "beta", "values": [0.5]}}, "fixed_policy"),
+        ],
+    )
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, doc, field):
+        config = write_config(tmp_path, {"catalog": SMALL_CATALOG, **doc})
+        out = str(tmp_path / "r.csv")
+        command = "sweep" if "sweep" in doc else "solve"
+        assert main([command, "--config", config, "--out", out, "--no-sim"]) == 2
+        assert f"error: {field}" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
             {"catalog": SMALL_CATALOG,
              "sweep": {"variable": "beta", "values": [0.5]}},
         )
-        out = str(tmp_path / "r.csv")
-        os.environ["CACHEPLACE_THREADS"] = "many"
-        try:
-            assert main(["sweep", "--config", config, "--out", out, "--no-sim"]) == 2
-        finally:
-            del os.environ["CACHEPLACE_THREADS"]
+        out = str(tmp_path / "no-such-dir" / "r.csv")
+        assert main(["sweep", "--config", config, "--out", out, "--no-sim"]) == 2
+        assert "error:" in capsys.readouterr().err

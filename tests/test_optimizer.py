@@ -16,7 +16,6 @@ from cacheplace.analytic import (
 )
 from cacheplace.catalog import PlacementPolicy, make_catalog, sample_secrecy_levels
 from cacheplace.optimizer import (
-    _clipped_total,
     lcc_placement,
     mpc_placement,
     placement_caps,
@@ -194,10 +193,11 @@ class TestDualBisection:
         caps = placement_caps(cat, params)
         c = derive_constants(params, params.gamma_u)
         nu_star = water_filling_dual(cat, params, caps)
-        totals = [
-            _clipped_total(cat.popularity, c.tau1, c.tau2, caps, nu_star * s)
-            for s in [0.25, 0.5, 1.0, 2.0, 4.0]
-        ]
+        totals = []
+        for s in [0.25, 0.5, 1.0, 2.0, 4.0]:
+            root = np.sqrt(c.tau2 * cat.popularity / (nu_star * s))
+            levels = (root - c.tau2) / c.tau1
+            totals.append(np.clip(levels, 0.0, caps).sum())
         assert all(t1 >= t2 for t1, t2 in zip(totals, totals[1:]))
         assert totals[2] == pytest.approx(cat.cache_size, abs=1e-12)
 
@@ -241,15 +241,23 @@ def test_water_filling_certificate_on_random_catalogs(catalog):
 
 
 @pytest.mark.parametrize("guard_km", [1, 2, 3, 5, 8, 15])
-@pytest.mark.parametrize("levels", ["sampled", "zero"])
+@pytest.mark.parametrize("levels", ["sampled", "zero", "tied"])
 def test_water_filling_certificate_at_large_guard_radius(guard_km, levels):
     # tau2 / tau1 grows as exp(pi lambda_e D^2), to ~1e96 at D = 15 km, where
-    # each file jumps from 0 to its cap within one ulp of nu.
+    # each file jumps from 0 to its cap within one ulp of nu. "tied" files
+    # (beta = 0, levels 0) are all interior.
     eps = sample_secrecy_levels(10, 0.5, seed=1) if levels == "sampled" else [0.0] * 10
-    catalog = make_catalog(10, 0.7, eps, 5)
+    catalog = make_catalog(10, 0.0 if levels == "tied" else 0.7, eps, 5)
     assert_water_filling_certificate(
         catalog, default_params(guard_radius=1000.0 * guard_km)
     )
+
+
+def test_water_filling_budget_with_tied_files_at_4_km():
+    # The stationary point (sqrt(tau2 q_i / nu) - tau2) / tau1 cancels at
+    # tau2 / tau1 ~ 1e8; built from it alone, sum(p) overshot C = 1 by 8e-9.
+    catalog = make_catalog(7, 0.0, [0.0] * 7, 1)
+    assert_water_filling_certificate(catalog, default_params(guard_radius=4000.0))
 
 
 class TestBaselines:

@@ -11,9 +11,12 @@ from cacheplace.simulator import (
     SimConfig,
     SimEstimate,
     SimulationConfigError,
+    _TrialScene,
+    _trial_rng,
+    _window_radius,
     sample_ppp,
+    simulate_file_secrecy,
     simulate_hit,
-    simulate_secrecy,
 )
 
 BS_DENSITY = 1.0 / 800.0**2
@@ -75,7 +78,7 @@ class TestConfigAndEstimate:
     def test_window_must_exceed_guard_radius(self):
         cfg = SimConfig(trials=1, window_radius=100.0)
         with pytest.raises(SimulationConfigError):
-            simulate_secrecy(0.5, default_params(), cfg)
+            simulate_file_secrecy([0.5], default_params(), cfg)
 
     def test_estimate_halfwidth(self):
         est = SimEstimate.from_mean(0.5, 10_000)
@@ -152,33 +155,86 @@ class TestSimulateHit:
             )
 
 
+def per_file_reference(p, params, cfg, exclusion_radius, threshold):
+    """Per-file success counts, walking the scene once for each file."""
+    radius = _window_radius(params, cfg)
+    counts = np.zeros(len(p))
+    for trial in range(cfg.trials):
+        scene = _TrialScene(_trial_rng(cfg.seed, trial), params, radius)
+        for i, p_i in enumerate(p):
+            excluded = -1.0 if exclusion_radius is None else exclusion_radius**2
+            for b in scene.order:
+                if scene.cache_u[b] >= p_i or scene.dist2[b] <= excluded:
+                    continue
+                if scene.transmits(b):
+                    signal = scene.power[b]
+                    counts[i] += signal > threshold * (scene.total_power - signal)
+                    break
+    return counts
+
+
+def test_shared_walk_matches_per_file_reference():
+    params = default_params(guard_radius=600.0)
+    cat = make_catalog(7, 0.7, [0.0] * 7, 3)
+    p = np.array([0.05, 0.6, 0.0, 1.0, 0.6, 0.3, 0.9])
+    cfg = SimConfig(trials=60, seed=4)
+    hits = per_file_reference(p, params, cfg, None, params.gamma_u)
+    wiretapped = per_file_reference(p, params, cfg, params.guard_radius, params.gamma_e)
+    result = simulate_hit(PlacementPolicy(p), cat, params, cfg)
+    assert [e.estimate for e in result.per_file] == list(hits / cfg.trials)
+    secrecy = simulate_file_secrecy(p, params, cfg)
+    assert [e.estimate for e in secrecy] == list((cfg.trials - wiretapped) / cfg.trials)
+
+
 class TestSimulateSecrecy:
     def test_uncached_file_is_always_secret(self):
-        est = simulate_secrecy(0.0, default_params(), SimConfig(trials=100))
+        (est,) = simulate_file_secrecy([0.0], default_params(), SimConfig(trials=100))
         assert est.estimate == 1.0
         assert est.ci95_halfwidth == 0.0
+
+    def test_all_uncached_draws_no_scene(self, monkeypatch):
+        def no_scene(*args):
+            raise AssertionError("a scene was sampled")
+
+        monkeypatch.setattr("cacheplace.simulator._TrialScene", no_scene)
+        estimates = simulate_file_secrecy(
+            np.zeros(3), default_params(), SimConfig(trials=100)
+        )
+        assert estimates == (SimEstimate(1.0, 100, 0.0),) * 3
 
     def test_huge_eaves_threshold_gives_secrecy(self):
         # gamma_e = +60 dB is unreachable for any interfered eavesdropper.
         params = default_params(gamma_e=db_to_linear(60.0))
-        est = simulate_secrecy(1.0, params, SimConfig(trials=2_000, seed=8))
+        (est,) = simulate_file_secrecy([1.0], params, SimConfig(trials=2_000, seed=8))
         assert est.estimate == pytest.approx(1.0, abs=0.005)
 
     def test_monotone_decreasing_in_placement(self):
+        # All files share each trial's scene, so the secrecy indicator is
+        # monotone in p trial by trial.
         params = default_params()
         cfg = SimConfig(trials=4_000, seed=21)
-        values = [simulate_secrecy(p, params, cfg).estimate for p in [0.2, 0.5, 1.0]]
+        estimates = simulate_file_secrecy([0.2, 0.5, 1.0], params, cfg)
+        values = [e.estimate for e in estimates]
         assert values[0] >= values[1] >= values[2]
+
+    def test_entry_matches_single_file_call(self):
+        # A scene's draws do not depend on p, so each entry of a multi-file
+        # call equals a one-file call at the same seed, bit for bit.
+        params = default_params()
+        cfg = SimConfig(trials=300, seed=31)
+        p = [0.7, 0.0, 0.2, 1.0, 0.2, 0.45]
+        together = simulate_file_secrecy(p, params, cfg)
+        assert together == tuple(
+            simulate_file_secrecy([p_i], params, cfg)[0] for p_i in p
+        )
 
     def test_window_size_stability(self):
         # Doubling the observation window must not shift the estimate by
         # more than the combined Monte Carlo uncertainty.
         params = default_params()
-        base = simulate_secrecy(
-            0.5, params, SimConfig(trials=4_000, seed=17)
-        )
-        wide = simulate_secrecy(
-            0.5,
+        (base,) = simulate_file_secrecy([0.5], params, SimConfig(trials=4_000, seed=17))
+        (wide,) = simulate_file_secrecy(
+            [0.5],
             params,
             SimConfig(trials=4_000, seed=17, window_radius=28_540.0),
         )
@@ -187,5 +243,6 @@ class TestSimulateSecrecy:
         )
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            simulate_secrecy(1.3, default_params(), SimConfig(trials=1))
+        for p in ([1.3], [0.5, float("nan")], 0.5):
+            with pytest.raises(ValueError):
+                simulate_file_secrecy(p, default_params(), SimConfig(trials=1))
