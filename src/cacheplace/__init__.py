@@ -30,13 +30,13 @@ from .optimizer import (
     mpc_placement,
     placement_caps,
     solve_ocp,
-    water_filling_dual,
 )
 from .simulator import (
     HitSimResult,
     SimConfig,
     SimEstimate,
     sample_ppp,
+    simulate_file_hit,
     simulate_file_secrecy,
     simulate_hit,
 )

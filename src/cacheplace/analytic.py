@@ -152,16 +152,14 @@ def active_density(p_i, params):
     )
 
 
-def conditional_hit_probability(p, params, gamma_u=None):
+def conditional_hit_probability(p, params):
     """Hit probability of a file cached with probability p (scalar or array).
 
     Equals p / (tau1 * p + tau2) with the constants evaluated at the user
     threshold; zero at p = 0 and concave increasing in p.
     """
     p = _unit_interval(p, "p_i")
-    if gamma_u is None:
-        gamma_u = params.gamma_u
-    c = derive_constants(params, gamma_u)
+    c = derive_constants(params, params.gamma_u)
     return _like(p, p / (c.tau1 * p + c.tau2))
 
 
@@ -176,63 +174,66 @@ def hit_probability(policy, catalog, params):
     return float(np.dot(catalog.popularity, hits))
 
 
-def secrecy_probability_lower_bound(p_i, params):
-    """Closed-form lower bound on the file secrecy probability.
+def secrecy_probability_lower_bound(p, params):
+    """Closed-form lower bound on the file secrecy probability (scalar or array).
 
     1 - exp(-pi D^2 kappa1(gamma_e) lambda) / (tau1(gamma_e) + tau2(gamma_e)/p).
-    Strictly decreasing in p; defined as 1 at p = 0 by continuity (a file
-    that is never cached cannot leak).
+    Strictly decreasing in p, with its limit 1 at p = 0 (tau2 / 0 = inf): a
+    file that is never cached cannot leak.
     """
-    if not 0 <= p_i <= 1:
-        raise ValueError(f"p_i must lie in [0, 1], got {p_i}")
-    if p_i == 0:
-        return 1.0
+    p = _unit_interval(p, "p_i")
     c = derive_constants(params, params.gamma_e)
     numerator = math.exp(
         -math.pi * params.guard_radius**2 * c.kappa1 * params.bs_density
     )
-    return 1.0 - numerator / (c.tau1 + c.tau2 / p_i)
+    with np.errstate(divide="ignore"):
+        return _like(p, 1.0 - numerator / (c.tau1 + c.tau2 / p))
 
 
-def secrecy_probability_exact(p_i, params, cfg=None):
-    """Exact file secrecy probability via numerical integration.
+def secrecy_probability_exact(p, params, cfg=None):
+    """Exact file secrecy probability via numerical integration (scalar or array).
 
     One minus the integral over the wiretapped-transmitter distance r > D of
     the eavesdropper's SIR-coverage kernel against the nearest-transmitter
     distance density 2 pi lam_a r exp(-pi lam_a (r^2 - D^2)), integrated
-    over [D, inf) by the convergence-checked semi-infinite quadrature.
+    over [D, inf) by the convergence-checked semi-infinite quadrature, one
+    quadrature per entry. 1 at p = 0.
     """
-    if not 0 <= p_i <= 1:
-        raise ValueError(f"p_i must lie in [0, 1], got {p_i}")
-    if p_i == 0:
-        return 1.0
+    p = _unit_interval(p, "p_i")
     if cfg is None:
         cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=200)
     c = derive_constants(params, params.gamma_e)
     lam = params.bs_density
-    lam_a = active_density(p_i, params)
-    lam_rest = lam - lam_a  # non-caching BSs plus muted caching BSs
     d = params.guard_radius
     alpha = params.alpha
     gamma_e = params.gamma_e
-    rate = math.pi * (lam_rest * c.kappa1 + lam_a * c.kappa2)
 
-    def integrand(r):
-        theta = (
-            -math.pi
-            * lam_a
-            * d**2
-            * hyp2f1_1b(c.delta, -((d / r) ** alpha) / gamma_e)
-            if d > 0
-            else 0.0
-        )
-        density = (
-            2.0 * math.pi * lam_a * r * math.exp(-math.pi * lam_a * (r**2 - d**2))
-        )
-        return math.exp(-rate * r**2 + theta) * density
+    def secrecy(p_i):
+        if p_i == 0.0:
+            return 1.0
+        lam_a = active_density(p_i, params)
+        lam_rest = lam - lam_a  # non-caching BSs plus muted caching BSs
+        rate = math.pi * (lam_rest * c.kappa1 + lam_a * c.kappa2)
 
-    value = integrate_semi_infinite(integrand, d, cfg)
-    return min(1.0, max(0.0, 1.0 - value))
+        def integrand(r):
+            theta = (
+                -math.pi
+                * lam_a
+                * d**2
+                * hyp2f1_1b(c.delta, -((d / r) ** alpha) / gamma_e)
+                if d > 0
+                else 0.0
+            )
+            density = (
+                2.0 * math.pi * lam_a * r * math.exp(-math.pi * lam_a * (r**2 - d**2))
+            )
+            return math.exp(-rate * r**2 + theta) * density
+
+        value = integrate_semi_infinite(integrand, d, cfg)
+        return min(1.0, max(0.0, 1.0 - value))
+
+    values = [secrecy(p_i) for p_i in p.ravel().tolist()]
+    return _like(p, np.reshape(values, p.shape))
 
 
 def placement_cap(eps, params):

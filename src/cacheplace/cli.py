@@ -3,10 +3,14 @@ and single-instance placement solving, with reproducible CSV/JSON outputs.
 
 Config files are JSON documents; lengths are in meters, densities per square
 meter, and SIR thresholds in dB (converted to linear exactly once, here at
-the boundary). Simulation seeds are derived from the master seed and the
-(point, scheme) path, and all files of a scheme share its simulated scenes,
-so every output depends only on the seeds. Exit codes: 0 success, 1
+the boundary). Every table is built column by column from the array-valued
+closed forms and per-file simulators. Simulation seeds are derived from the
+master seed and the (point, scheme) path; all files of a scheme, all points
+of a p_i sweep, and each validate grid share one simulated scene set, so
+every output depends only on the seeds. Exit codes: 0 success, 1
 validation failure, 2 invalid input (including an unwritable output path).
+A stdout closed by its reader ends the run quietly with the command's own
+status, after every output file is written.
 """
 
 import argparse
@@ -28,7 +32,7 @@ from .analytic import (
 )
 from .catalog import FileCatalog, PlacementPolicy, make_catalog, sample_secrecy_levels
 from .optimizer import lcc_placement, mpc_placement, placement_caps, solve_ocp
-from .simulator import SimConfig, simulate_file_secrecy, simulate_hit
+from .simulator import SimConfig, simulate_file_hit, simulate_file_secrecy, simulate_hit
 
 CSV_COLUMNS = [
     "sweep_var",
@@ -272,100 +276,85 @@ def _scheme_policy(scheme, catalog, params, caps, fixed_policy):
     return PlacementPolicy(fixed_policy)  # FIXED: budget deliberately unchecked
 
 
-def _sweep_point_rows(spec, point_idx, value):
-    """All CSV rows for one sweep point, in deterministic order."""
-    params = _point_params(spec, value)
-    catalog = _point_catalog(spec, value)
-    rows = []
+def _rows(columns):
+    """CSV rows from columns: equal-length lists, or one value for every row."""
+    n = max(len(v) for v in columns.values() if isinstance(v, list))
+    full = {k: v if isinstance(v, list) else [v] * n for k, v in columns.items()}
+    return [dict(zip(full, cells)) for cells in zip(*full.values())]
 
-    if spec.sweep_var == "p_i":
-        # Per-file quantities at a single caching probability; scheme labels
-        # do not apply, so a single FIXED-style row is emitted per point.
-        p = value
-        hit_sim = hit_ci = sec_sim = sec_ci = None
-        if spec.sim is not None:
-            single = np.zeros(catalog.file_count)
-            single[0] = p
-            hit_res = simulate_hit(
-                PlacementPolicy(single),
-                catalog,
-                params,
-                _sim_config(spec, point_idx, 0, 0),
-            )
-            hit_sim = hit_res.per_file[0].estimate
-            hit_ci = hit_res.per_file[0].ci95_halfwidth
-            (sec,) = simulate_file_secrecy(
-                [p], params, _sim_config(spec, point_idx, 0, 1)
-            )
-            sec_sim = sec.estimate
-            sec_ci = sec.ci95_halfwidth
-        rows.append(
-            {
-                "sweep_var": "p_i",
-                "sweep_value": value,
-                "scheme": "FIXED",
-                "file_index": 0,
-                "p_star": p,
-                "psi_cap": None,
-                "hit_analytic": conditional_hit_probability(p, params),
-                "hit_sim": hit_sim,
-                "hit_ci": hit_ci,
-                "secrecy_lb": secrecy_probability_lower_bound(p, params),
-                "secrecy_exact": secrecy_probability_exact(p, params),
-                "secrecy_sim": sec_sim,
-                "secrecy_ci": sec_ci,
-            }
-        )
-        return rows
 
-    caps = placement_caps(catalog, params)
-    for scheme_idx, scheme in enumerate(spec.schemes):
-        policy = _scheme_policy(scheme, catalog, params, caps, spec.fixed_policy)
-        hit_res = secrecy = None
-        if spec.sim is not None:
-            hit_res = simulate_hit(
-                policy, catalog, params, _sim_config(spec, point_idx, scheme_idx, 0)
-            )
-            secrecy = simulate_file_secrecy(
-                policy.p, params, _sim_config(spec, point_idx, scheme_idx, 1)
-            )
-        for i in range(catalog.file_count):
-            p_i = float(policy.p[i])
-            rows.append(
-                {
-                    "sweep_var": spec.sweep_var,
-                    "sweep_value": value,
-                    "scheme": scheme,
-                    "file_index": i + 1,
-                    "p_star": p_i,
-                    "psi_cap": float(caps[i]),
-                    "hit_analytic": conditional_hit_probability(p_i, params),
-                    "hit_sim": hit_res.per_file[i].estimate if hit_res else None,
-                    "hit_ci": hit_res.per_file[i].ci95_halfwidth if hit_res else None,
-                    "secrecy_lb": secrecy_probability_lower_bound(p_i, params),
-                    "secrecy_exact": secrecy_probability_exact(p_i, params),
-                    "secrecy_sim": secrecy[i].estimate if secrecy else None,
-                    "secrecy_ci": secrecy[i].ci95_halfwidth if secrecy else None,
-                }
-            )
-        # Aggregate row: file_index 0, popularity-weighted hit probability.
-        rows.append(
-            {
-                "sweep_var": spec.sweep_var,
-                "sweep_value": value,
-                "scheme": scheme,
-                "file_index": 0,
-                "p_star": float(policy.p.sum()),
-                "psi_cap": float(caps.sum()),
-                "hit_analytic": hit_probability(policy, catalog, params),
-                "hit_sim": hit_res.aggregate.estimate if hit_res else None,
-                "hit_ci": hit_res.aggregate.ci95_halfwidth if hit_res else None,
-                "secrecy_lb": None,
-                "secrecy_exact": None,
-                "secrecy_sim": None,
-                "secrecy_ci": None,
-            }
+def _file_columns(p, params, hit=None, secrecy=None):
+    """Closed-form and simulated columns at the caching probabilities p."""
+    columns = {
+        "p_star": p.tolist(),
+        "hit_analytic": conditional_hit_probability(p, params).tolist(),
+        "secrecy_lb": secrecy_probability_lower_bound(p, params).tolist(),
+        "secrecy_exact": secrecy_probability_exact(p, params).tolist(),
+    }
+    for name, est in (("hit", hit), ("secrecy", secrecy)):
+        columns[f"{name}_sim"] = [e.estimate for e in est] if est else None
+        columns[f"{name}_ci"] = [e.ci95_halfwidth for e in est] if est else None
+    return columns
+
+
+def _p_i_rows(spec):
+    """One FIXED row per caching probability of a p_i sweep.
+
+    Scheme labels do not apply; every point is resolved from one scene set
+    per simulator.
+    """
+    p = np.asarray(spec.sweep_values)
+    hit = secrecy = None
+    if spec.sim is not None:
+        hit = simulate_file_hit(p, spec.params, _sim_config(spec, 0, 0, 0))
+        secrecy = simulate_file_secrecy(p, spec.params, _sim_config(spec, 0, 0, 1))
+    return _rows(
+        {
+            "sweep_var": "p_i",
+            "sweep_value": list(spec.sweep_values),
+            "scheme": "FIXED",
+            "file_index": 0,
+            "psi_cap": None,
+            **_file_columns(p, spec.params, hit, secrecy),
+        }
+    )
+
+
+def _scheme_rows(spec, point_idx, value, scheme_idx, catalog, params, caps):
+    """Per-file rows of one (point, scheme), then its aggregate row (file 0)."""
+    scheme = spec.schemes[scheme_idx]
+    policy = _scheme_policy(scheme, catalog, params, caps, spec.fixed_policy)
+    hit = secrecy = None
+    if spec.sim is not None:
+        hit = simulate_hit(
+            policy, catalog, params, _sim_config(spec, point_idx, scheme_idx, 0)
         )
+        secrecy = simulate_file_secrecy(
+            policy.p, params, _sim_config(spec, point_idx, scheme_idx, 1)
+        )
+    point = {"sweep_var": spec.sweep_var, "sweep_value": value, "scheme": scheme}
+    rows = _rows(
+        {
+            **point,
+            "file_index": list(range(1, catalog.file_count + 1)),
+            "psi_cap": caps.tolist(),
+            **_file_columns(
+                policy.p, params, hit.per_file if hit else None, secrecy
+            ),
+        }
+    )
+    rows.append(
+        {
+            **dict.fromkeys(CSV_COLUMNS),
+            **point,
+            "file_index": 0,
+            "p_star": float(policy.p.sum()),
+            "psi_cap": float(caps.sum()),
+            "hit_analytic": hit_probability(policy, catalog, params),
+            "hit_sim": hit.aggregate.estimate if hit else None,
+            "hit_ci": hit.aggregate.ci95_halfwidth if hit else None,
+        }
+    )
     return rows
 
 
@@ -373,11 +362,18 @@ def run_sweep(spec):
     """Evaluate every (sweep value, scheme) combination; returns CSV rows."""
     if spec.sweep_var is None:
         raise SpecError("sweep command requires a 'sweep' section in the config")
-    return [
-        row
-        for idx, value in enumerate(spec.sweep_values)
-        for row in _sweep_point_rows(spec, idx, value)
-    ]
+    if spec.sweep_var == "p_i":
+        return _p_i_rows(spec)
+    rows = []
+    for point_idx, value in enumerate(spec.sweep_values):
+        params = _point_params(spec, value)
+        catalog = _point_catalog(spec, value)
+        caps = placement_caps(catalog, params)
+        for scheme_idx in range(len(spec.schemes)):
+            rows += _scheme_rows(
+                spec, point_idx, value, scheme_idx, catalog, params, caps
+            )
+    return rows
 
 
 def write_rows(rows, path):
@@ -394,8 +390,28 @@ def write_sidecar(spec, path):
         fh.write("\n")
 
 
+def _report_row(quantity, point, analytic, sim, floor):
+    """One validate row: pass iff |analytic - sim| <= max(ci95, floor)."""
+    tol = max(sim.ci95_halfwidth, floor)
+    gap = abs(analytic - sim.estimate)
+    return {
+        "quantity": quantity,
+        "point": point,
+        "analytic": analytic,
+        "simulated": sim.estimate,
+        "ci": sim.ci95_halfwidth,
+        "tolerance": tol,
+        "gap": gap,
+        "status": "pass" if gap <= tol else "fail",
+        "note": "ci-wide" if sim.ci95_halfwidth > floor else "",
+    }
+
+
 def run_validate(spec):
-    """Compare closed forms against Monte Carlo; returns (report_rows, ok)."""
+    """Compare closed forms against Monte Carlo; returns (report_rows, ok).
+
+    Each grid is simulated by one call, from one scene set.
+    """
     if spec.sim is None:
         raise SpecError("validate requires simulation (remove --no-sim / add 'sim')")
     hit_grid = [float(v) for v in spec.validate.get("hit_p", [0.2, 0.5, 1.0])]
@@ -403,53 +419,30 @@ def run_validate(spec):
     hit_tol = float(spec.validate.get("hit_tol", 0.01))
     secrecy_tol = float(spec.validate.get("secrecy_tol", 0.015))
     params = spec.params
-    catalog = spec.catalog
-    report = []
 
-    for k, p in enumerate(hit_grid):
-        policy = PlacementPolicy.uniform(catalog.file_count, p)
-        res = simulate_hit(policy, catalog, params, _sim_config(spec, 0, k))
-        for i in range(catalog.file_count):
-            analytic = conditional_hit_probability(p, params)
-            sim = res.per_file[i]
-            tol = max(sim.ci95_halfwidth, hit_tol)
-            gap = abs(analytic - sim.estimate)
-            report.append(
-                {
-                    "quantity": "hit",
-                    "point": f"p={p:g} file={i + 1}",
-                    "analytic": analytic,
-                    "simulated": sim.estimate,
-                    "ci": sim.ci95_halfwidth,
-                    "tolerance": tol,
-                    "gap": gap,
-                    "status": "pass" if gap <= tol else "fail",
-                    "note": "ci-wide" if sim.ci95_halfwidth > hit_tol else "",
-                }
-            )
-
-    secrecy = simulate_file_secrecy(secrecy_grid, params, _sim_config(spec, 1))
-    for p, sim in zip(secrecy_grid, secrecy):
-        for name, analytic in (
-            ("secrecy_lb", secrecy_probability_lower_bound(p, params)),
-            ("secrecy_exact", secrecy_probability_exact(p, params)),
-        ):
-            tol = max(sim.ci95_halfwidth, secrecy_tol)
-            gap = abs(analytic - sim.estimate)
-            report.append(
-                {
-                    "quantity": name,
-                    "point": f"p={p:g}",
-                    "analytic": analytic,
-                    "simulated": sim.estimate,
-                    "ci": sim.ci95_halfwidth,
-                    "tolerance": tol,
-                    "gap": gap,
-                    "status": "pass" if gap <= tol else "fail",
-                    "note": "ci-wide" if sim.ci95_halfwidth > secrecy_tol else "",
-                }
-            )
-
+    hit = zip(
+        hit_grid,
+        conditional_hit_probability(hit_grid, params).tolist(),
+        simulate_file_hit(hit_grid, params, _sim_config(spec, 0)),
+    )
+    # Files at equal p share their closed form and, from shared scenes, their
+    # estimate; the report keeps one row per file.
+    report = [
+        _report_row("hit", f"p={p:g} file={i + 1}", analytic, sim, hit_tol)
+        for p, analytic, sim in hit
+        for i in range(spec.catalog.file_count)
+    ]
+    secrecy = zip(
+        secrecy_grid,
+        secrecy_probability_lower_bound(secrecy_grid, params).tolist(),
+        secrecy_probability_exact(secrecy_grid, params).tolist(),
+        simulate_file_secrecy(secrecy_grid, params, _sim_config(spec, 1)),
+    )
+    report += [
+        _report_row(name, f"p={p:g}", analytic, sim, secrecy_tol)
+        for p, lower, exact, sim in secrecy
+        for name, analytic in (("secrecy_lb", lower), ("secrecy_exact", exact))
+    ]
     ok = all(row["status"] == "pass" for row in report)
     return report, ok
 
@@ -517,45 +510,58 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        doc = _load_config(args.config)
-        spec = parse_spec(
-            doc,
-            config_dir=os.path.dirname(os.path.abspath(args.config)),
-            seed=args.seed,
-            trials=args.trials,
-            out=args.out,
-            no_sim=args.no_sim,
-        )
-        if args.command == "sweep":
-            rows = run_sweep(spec)
-            if not spec.output:
-                raise SpecError("sweep requires an output path (--out or 'output')")
-            write_rows(rows, spec.output)
-            write_sidecar(spec, spec.output + ".spec.json")
-            print(f"wrote {len(rows)} rows to {spec.output}")
-            return 0
-        if args.command == "validate":
-            report, ok = run_validate(spec)
-            if spec.output:
-                write_validate_rows(report, spec.output)
-                write_sidecar(spec, spec.output + ".spec.json")
-            for row in report:
-                print(
-                    f"{row['status']:4s} {row['quantity']:14s} {row['point']:18s} "
-                    f"analytic={row['analytic']:.4f} sim={row['simulated']:.4f} "
-                    f"gap={row['gap']:.4f} tol={row['tolerance']:.4f} {row['note']}"
-                )
-            return 0 if ok else 1
-        result = run_solve(spec)
-        text = json.dumps(result, indent=2)
-        if spec.output:
-            with open(spec.output, "w") as fh:
-                fh.write(text + "\n")
-        print(text)
-        return 0
+        status, lines = _execute(args)
     except (SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does), which is not an
+        # input error: every output file is already written. Point stdout at
+        # devnull so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
+
+
+def _execute(args):
+    """Run one command and write its output files; returns (status, stdout lines)."""
+    doc = _load_config(args.config)
+    spec = parse_spec(
+        doc,
+        config_dir=os.path.dirname(os.path.abspath(args.config)),
+        seed=args.seed,
+        trials=args.trials,
+        out=args.out,
+        no_sim=args.no_sim,
+    )
+    if args.command == "sweep":
+        rows = run_sweep(spec)
+        if not spec.output:
+            raise SpecError("sweep requires an output path (--out or 'output')")
+        write_rows(rows, spec.output)
+        write_sidecar(spec, spec.output + ".spec.json")
+        return 0, [f"wrote {len(rows)} rows to {spec.output}"]
+    if args.command == "validate":
+        report, ok = run_validate(spec)
+        if spec.output:
+            write_validate_rows(report, spec.output)
+            write_sidecar(spec, spec.output + ".spec.json")
+        return 0 if ok else 1, [
+            f"{row['status']:4s} {row['quantity']:14s} {row['point']:18s} "
+            f"analytic={row['analytic']:.4f} sim={row['simulated']:.4f} "
+            f"gap={row['gap']:.4f} tol={row['tolerance']:.4f} {row['note']}"
+            for row in report
+        ]
+    text = json.dumps(run_solve(spec), indent=2)
+    if spec.output:
+        with open(spec.output, "w") as fh:
+            fh.write(text + "\n")
+    return 0, [text]
 
 
 if __name__ == "__main__":

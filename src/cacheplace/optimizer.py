@@ -19,7 +19,6 @@ __all__ = [
     "OcpSolution",
     "placement_caps",
     "solve_ocp",
-    "water_filling_dual",
     "mpc_placement",
     "lcc_placement",
 ]
@@ -47,6 +46,15 @@ def placement_caps(catalog, params):
 
 def _water_fill(catalog, params, caps):
     """(nu, p, active) of the budget-binding water-filling; needs sum(caps) > C.
+
+    The clipped sum S(nu) is non-increasing, and piecewise of the form
+    a / sqrt(nu) - b between the 2F breakpoints where a file enters
+    (nu = q_i / tau2) or saturates at its cap
+    (nu = tau2 q_i / (tau1 cap_i + tau2)^2). A binary search over the sorted
+    breakpoints finds the segment containing C; on it the interior set is
+    fixed and the budget equation solves for nu in closed form (Palomar &
+    Fonollosa, IEEE TSP 2005). A segment with no interior file has S
+    constant, so any point of it is optimal: its midpoint.
 
     S(nu) is evaluated at each breakpoint relative to the file whose
     breakpoint it is, and the interior placement is built from differences
@@ -104,24 +112,6 @@ def _water_fill(catalog, params, caps):
         for cap, inner in zip(capped, interior)
     )
     return nu, p, active
-
-
-def water_filling_dual(catalog, params, caps):
-    """Dual variable nu* at which the clipped water-filling sum equals C.
-
-    Requires sum(caps) > C. The clipped sum S(nu) is non-increasing, and
-    piecewise of the form a / sqrt(nu) - b between the 2F breakpoints where
-    a file enters (nu = q_i / tau2) or saturates at its cap
-    (nu = tau2 q_i / (tau1 cap_i + tau2)^2). A binary search over the sorted
-    breakpoints finds the segment containing C; on it the interior set is
-    fixed and the budget equation solves for nu in closed form (Palomar &
-    Fonollosa, IEEE TSP 2005). A segment with no interior file has S
-    constant, so any point of it is optimal: its midpoint.
-    """
-    caps = np.asarray(caps, float)
-    if caps.sum() <= catalog.cache_size:
-        raise ValueError("water_filling_dual requires sum(caps) > C")
-    return _water_fill(catalog, params, caps)[0]
 
 
 def solve_ocp(catalog, params, caps=None):

@@ -11,8 +11,11 @@ results are reproducible and independent of execution order.
 Every file of a call is resolved from the same scene per trial (common
 random numbers): one caching uniform per BS decides which files it holds,
 and a single walk over the BSs in distance order finds each file's serving
-transmitter. The hit and secrecy simulators share that walk and differ only
-in the exclusion disk around the origin and the SIR threshold.
+transmitter. Each scene is drawn and walked once, by one per-trial function
+that the hit and secrecy simulators share; they differ only in the exclusion
+disk around the origin and the SIR threshold. A scene's draws do not depend
+on the caching probabilities, so a whole grid of p (the files of a
+placement, or the points of a sweep) is resolved from one scene set.
 
 Because every BS transmits at full power (a file, another file, or
 artificial noise), the total received power at the origin is the same sum
@@ -32,8 +35,13 @@ __all__ = [
     "HitSimResult",
     "sample_ppp",
     "simulate_hit",
+    "simulate_file_hit",
     "simulate_file_secrecy",
 ]
+
+
+# Expected base stations in an automatically sized window, at the least.
+_MIN_EXPECTED_BS = 1000
 
 
 class SimulationConfigError(ValueError):
@@ -45,22 +53,19 @@ class SimConfig:
     """Trial count, seed, and observation-window sizing.
 
     window_radius=None picks a radius automatically so the expected number
-    of base stations in the window is at least min_expected_bs and the
+    of base stations in the window is at least _MIN_EXPECTED_BS and the
     radius covers at least ten mean nearest-neighbor distances.
     """
 
     trials: int = 10_000
     seed: int = 0
     window_radius: float | None = None
-    min_expected_bs: int = 1000
 
     def __post_init__(self):
         if self.trials < 1:
             raise SimulationConfigError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise SimulationConfigError("seed must fit in an unsigned 64-bit integer")
-        if self.min_expected_bs < 1:
-            raise SimulationConfigError("min_expected_bs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,7 @@ def _window_radius(params, cfg):
                 f"{params.guard_radius}"
             )
         return float(cfg.window_radius)
-    by_count = math.sqrt(cfg.min_expected_bs / (math.pi * params.bs_density))
+    by_count = math.sqrt(_MIN_EXPECTED_BS / (math.pi * params.bs_density))
     by_spacing = 10.0 / (2.0 * math.sqrt(params.bs_density))
     radius = max(by_count, by_spacing)
     if radius <= params.guard_radius:
@@ -124,77 +129,53 @@ def sample_ppp(density, radius, rng):
     return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
 
 
-class _TrialScene:
-    """One sampled network realization, shared across files within a trial."""
+def _trial_successes(rng, params, radius, p_asc, exclusion_radius, threshold):
+    """Draw one scene and, per file, whether its serving BS clears the threshold.
 
-    def __init__(self, rng, params, window_radius):
-        self.bs = sample_ppp(params.bs_density, window_radius, rng)
-        self.eav = sample_ppp(params.eaves_density, window_radius, rng)
-        n = len(self.bs)
-        self.fade = rng.exponential(size=n)
-        # One caching uniform per BS, shared across files (common random
-        # numbers): BS b caches file i iff cache_u[b] < p_i.
-        self.cache_u = rng.random(n)
-        self.dist2 = self.bs[:, 0] ** 2 + self.bs[:, 1] ** 2 if n else np.empty(0)
-        self.power = (
-            self.fade * self.dist2 ** (-params.alpha / 2.0) if n else np.empty(0)
-        )
-        # Beyond-window interferers are replaced by their exact mean,
-        # 2 pi lambda R^(2-alpha) / (alpha - 2): with alpha close to 2 the
-        # truncated far field is not negligible at any affordable radius and
-        # would bias every SIR upward by more than the Monte Carlo error.
-        tail_mean = (
-            2.0
-            * math.pi
-            * params.bs_density
-            * window_radius ** (2.0 - params.alpha)
-            / (params.alpha - 2.0)
-        )
-        self.total_power = float(self.power.sum()) + tail_mean
-        self.order = np.argsort(self.dist2)
-        self.guard2 = params.guard_radius**2
-        # Guard-zone marks are computed lazily: only candidate serving BSs
-        # near the origin ever need one. -1 unknown, 0 muted, 1 transmitting.
-        self._mark = np.full(n, -1, dtype=np.int8)
-
-    def transmits(self, b):
-        """True if BS b has no eavesdropper inside its guard zone."""
-        m = self._mark[b]
-        if m < 0:
-            if self.guard2 == 0.0 or len(self.eav) == 0:
-                m = 1
-            else:
-                gap2 = ((self.eav - self.bs[b]) ** 2).sum(axis=1).min()
-                m = 1 if gap2 >= self.guard2 else 0
-            self._mark[b] = m
-        return m == 1
-
-    def serving_sir_exceeds(self, p_asc, exclusion_radius, threshold):
-        """Per file, whether the SIR from its serving BS exceeds threshold.
-
-        p_asc holds positive caching probabilities in ascending order. A file
-        is served by the nearest BS outside the exclusion radius (None for no
-        exclusion) that caches it (cache_u < p) and transmits; a file with no
-        such BS in the window fails. The cache uniforms are shared, so one
-        walk in distance order resolves every file: each transmitting BS
-        serves the still unserved files whose p exceeds its cache_u.
-        """
-        success = np.zeros(len(p_asc), dtype=bool)
-        order = self.order
-        if exclusion_radius is not None:
-            order = order[self.dist2[order] > exclusion_radius**2]
-        u = self.cache_u
-        unserved = len(p_asc)  # files p_asc[:unserved] have no BS yet
-        for b in order[u[order] < p_asc[-1]]:
-            if u[b] >= p_asc[unserved - 1] or not self.transmits(b):
+    p_asc holds positive caching probabilities in ascending order. A file is
+    served by the nearest BS outside the exclusion radius (None for no
+    exclusion) that caches it (cache_u < p) and transmits; a file with no
+    such BS in the window fails. The cache uniforms are shared, so one walk
+    in distance order resolves every file: each transmitting BS serves the
+    still unserved files whose p exceeds its cache_u. Only the BSs that can
+    serve some file are sorted, and only those the walk reaches get a
+    guard-zone check.
+    """
+    bs = sample_ppp(params.bs_density, radius, rng)
+    eav = sample_ppp(params.eaves_density, radius, rng)
+    fade = rng.exponential(size=len(bs))
+    cache_u = rng.random(len(bs))
+    dist2 = bs[:, 0] ** 2 + bs[:, 1] ** 2
+    power = fade * dist2 ** (-params.alpha / 2.0)
+    # Beyond-window interferers are replaced by their exact mean,
+    # 2 pi lambda R^(2-alpha) / (alpha - 2): with alpha close to 2 the
+    # truncated far field is not negligible at any affordable radius and
+    # would bias every SIR upward by more than the Monte Carlo error.
+    tail_mean = (
+        2.0 * math.pi * params.bs_density * radius ** (2.0 - params.alpha)
+        / (params.alpha - 2.0)
+    )
+    total_power = float(power.sum()) + tail_mean
+    candidate = cache_u < p_asc[-1]
+    if exclusion_radius is not None:
+        candidate &= dist2 > exclusion_radius**2
+    candidates = np.flatnonzero(candidate)
+    guard2 = params.guard_radius**2
+    success = np.zeros(len(p_asc), dtype=bool)
+    unserved = len(p_asc)  # files p_asc[:unserved] have no BS yet
+    for b in candidates[np.argsort(dist2[candidates])]:
+        if cache_u[b] >= p_asc[unserved - 1]:
+            continue
+        if guard2 > 0.0 and len(eav):  # muted if an eavesdropper is within D
+            if ((eav - bs[b]) ** 2).sum(axis=1).min() < guard2:
                 continue
-            first = np.searchsorted(p_asc, u[b], side="right")
-            signal = self.power[b]
-            success[first:unserved] = signal > threshold * (self.total_power - signal)
-            unserved = first
-            if unserved == 0:
-                break
-        return success
+        first = np.searchsorted(p_asc, cache_u[b], side="right")
+        signal = power[b]
+        success[first:unserved] = signal > threshold * (total_power - signal)
+        unserved = first
+        if unserved == 0:
+            break
+    return success
 
 
 def _success_counts(p, params, cfg, exclusion_radius, threshold):
@@ -210,20 +191,42 @@ def _success_counts(p, params, cfg, exclusion_radius, threshold):
     counts = np.zeros(len(p))
     if len(files):
         for trial in range(cfg.trials):
-            scene = _TrialScene(_trial_rng(cfg.seed, trial), params, radius)
-            counts[files] += scene.serving_sir_exceeds(
-                p_asc, exclusion_radius, threshold
+            counts[files] += _trial_successes(
+                _trial_rng(cfg.seed, trial), params, radius, p_asc,
+                exclusion_radius, threshold,
             )
     return counts
 
 
-def simulate_hit(policy, catalog, params, cfg):
-    """Empirical per-file and aggregate hit probabilities.
+def _file_probabilities(p):
+    p = np.asarray(p, float)
+    if p.ndim != 1 or not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError(f"p must be a 1-D array with entries in [0, 1], got {p}")
+    return p
+
+
+def _estimates(counts, trials):
+    return tuple(SimEstimate.from_mean(c / trials, trials) for c in counts)
+
+
+def simulate_file_hit(p, params, cfg):
+    """Empirical hit probability of each file, cached with probability p[i].
 
     Per trial and file, the typical user at the origin associates with the
     nearest BS that caches the file and is not muted by its guard zone; the
     request hits iff the SIR from that BS exceeds the user threshold. A trial
-    with no eligible transmitter in the window counts as a miss.
+    with no eligible transmitter in the window counts as a miss. All files
+    share each trial's scene, and a scene's draws do not depend on p, so
+    entry i equals a one-file call at p[i] with the same seed.
+    """
+    hits = _success_counts(_file_probabilities(p), params, cfg, None, params.gamma_u)
+    return _estimates(hits, cfg.trials)
+
+
+def simulate_hit(policy, catalog, params, cfg):
+    """Per-file hit estimates of a placement and their popularity-weighted mean.
+
+    The per-file estimates are those of simulate_file_hit at policy.p.
     """
     p = np.asarray(policy.p, float)
     if len(p) != catalog.file_count:
@@ -231,10 +234,9 @@ def simulate_hit(policy, catalog, params, cfg):
             f"policy length {len(p)} does not match catalog size {catalog.file_count}"
         )
     hits = _success_counts(p, params, cfg, None, params.gamma_u)
-    per_file = tuple(SimEstimate.from_mean(h / cfg.trials, cfg.trials) for h in hits)
     aggregate_mean = float(np.dot(catalog.popularity, hits) / cfg.trials)
     return HitSimResult(
-        per_file=per_file,
+        per_file=_estimates(hits, cfg.trials),
         aggregate=SimEstimate.from_mean(aggregate_mean, cfg.trials),
     )
 
@@ -246,15 +248,10 @@ def simulate_file_secrecy(p, params, cfg):
     within the guard radius of the origin into artificial-noise mode. The
     wiretapped BS is the nearest transmitter of the file outside that disk;
     the file stays secret iff the eavesdropper's SIR falls below gamma_e, or
-    trivially if no eligible transmitter exists in the window. All files
-    share each trial's scene, and a scene's draws do not depend on p, so
-    entry i equals a one-file call at p[i] with the same seed.
+    trivially if no eligible transmitter exists in the window. As in
+    simulate_file_hit, entry i equals a one-file call at p[i] with the same
+    seed.
     """
-    p = np.asarray(p, float)
-    if p.ndim != 1 or not np.all((p >= 0.0) & (p <= 1.0)):
-        raise ValueError(f"p must be a 1-D array with entries in [0, 1], got {p}")
+    p = _file_probabilities(p)
     wiretapped = _success_counts(p, params, cfg, params.guard_radius, params.gamma_e)
-    return tuple(
-        SimEstimate.from_mean((cfg.trials - w) / cfg.trials, cfg.trials)
-        for w in wiretapped
-    )
+    return _estimates(cfg.trials - wiretapped, cfg.trials)

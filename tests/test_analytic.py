@@ -302,8 +302,22 @@ class TestPlacementCap:
             placement_cap(np.array([0.2, math.nan]), default_params())
 
     def test_array_matches_scalar(self):
+        # The cap and both secrecy maps take a scalar (giving a float) or an
+        # array of values in [0, 1], entry by entry bit for bit.
         params = default_params()
         levels = np.array([0.0, 0.01, 0.2, 0.5, 0.9, 1.0])
-        caps = placement_cap(levels, params)
-        assert isinstance(caps, np.ndarray)
-        assert caps.tolist() == [placement_cap(float(e), params) for e in levels]
+        for unit_map in (
+            placement_cap,
+            secrecy_probability_lower_bound,
+            secrecy_probability_exact,
+        ):
+            values = unit_map(levels, params)
+            assert isinstance(values, np.ndarray)
+            scalars = [unit_map(float(e), params) for e in levels]
+            assert all(type(v) is float for v in scalars)
+            assert values.tolist() == scalars
+            assert unit_map(levels.reshape(2, 3), params).tolist() == (
+                values.reshape(2, 3).tolist()
+            )
+            with pytest.raises(ValueError):
+                unit_map(np.array([0.5, 1.5]), params)

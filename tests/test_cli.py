@@ -1,9 +1,11 @@
 """End-to-end tests for the experiment runner CLI."""
 
 import csv
+import errno
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from cacheplace.cli import (
     run_sweep,
     run_validate,
 )
-from cacheplace.simulator import simulate_file_secrecy
+from cacheplace.simulator import simulate_file_hit, simulate_file_secrecy
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -28,6 +30,19 @@ def write_config(tmp_path, doc, name="config.json"):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def count_file_simulations(monkeypatch):
+    """Record the p of every per-file simulation the CLI makes, per simulator."""
+    calls = {"hit": [], "secrecy": []}
+    for name, simulate in (("hit", simulate_file_hit),
+                           ("secrecy", simulate_file_secrecy)):
+        def counting(p, params, cfg, name=name, simulate=simulate):
+            calls[name].append(list(p))
+            return simulate(p, params, cfg)
+
+        monkeypatch.setattr(f"cacheplace.cli.simulate_file_{name}", counting)
+    return calls
 
 
 SMALL_CATALOG = {"source": "inline", "F": 4, "beta": 0.7, "C": 2,
@@ -181,7 +196,8 @@ class TestSweepCommand:
         values = [float(r["secrecy_exact"]) for r in rows]
         assert values[0] <= values[1] <= values[2]
 
-    def test_p_i_sweep_single_row_per_point(self, tmp_path):
+    def test_p_i_sweep_single_row_per_point(self, tmp_path, monkeypatch):
+        calls = count_file_simulations(monkeypatch)
         config = write_config(
             tmp_path,
             {
@@ -199,6 +215,8 @@ class TestSweepCommand:
             assert row["hit_sim"] != ""
             assert row["secrecy_sim"] != ""
             assert float(row["secrecy_lb"]) <= float(row["secrecy_exact"]) + 1e-12
+        # Every point comes from one scene set per simulator.
+        assert calls == {"hit": [[0.2, 0.6, 1.0]], "secrecy": [[0.2, 0.6, 1.0]]}
 
     def test_sweep_requires_sweep_section(self, tmp_path):
         config = write_config(tmp_path, {"catalog": SMALL_CATALOG})
@@ -280,23 +298,17 @@ class TestValidateCommand:
         assert code in (0, 1)
 
     def test_one_secrecy_simulation_for_the_grid(self, monkeypatch):
-        calls = []
-
-        def counting(p, params, cfg):
-            calls.append(list(p))
-            return simulate_file_secrecy(p, params, cfg)
-
-        monkeypatch.setattr("cacheplace.cli.simulate_file_secrecy", counting)
+        calls = count_file_simulations(monkeypatch)
         spec = parse_spec(
             {
                 "catalog": SMALL_CATALOG,
                 "sim": {"trials": 5, "seed": 3},
-                "validate": {"hit_p": [0.5], "secrecy_p": [0.2, 0.5, 0.8]},
+                "validate": {"hit_p": [0.5, 1.0], "secrecy_p": [0.2, 0.5, 0.8]},
             }
         )
         report, _ = run_validate(spec)
-        assert calls == [[0.2, 0.5, 0.8]]
-        assert len(report) == 4 + 2 * 3
+        assert calls == {"hit": [[0.5, 1.0]], "secrecy": [[0.2, 0.5, 0.8]]}
+        assert len(report) == 2 * 4 + 2 * 3
 
     def test_requires_simulation(self, tmp_path):
         config = write_config(tmp_path, {"catalog": SMALL_CATALOG})
@@ -377,6 +389,29 @@ class TestErrorHandling:
         command = "sweep" if "sweep" in doc else "solve"
         assert main([command, "--config", config, "--out", out, "--no-sim"]) == 2
         assert f"error: {field}" in capsys.readouterr().err
+
+    def test_closed_stdout_keeps_the_command_status(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A reader that stops early (`cacheplace solve ... | head -2`) closes
+        # stdout; that is not invalid input, and the output file is written.
+        config = write_config(tmp_path, {"catalog": SMALL_CATALOG})
+        out = tmp_path / "solution.json"
+        with open(tmp_path / "stdout", "w") as sink:
+            class ClosedPipe:
+                def write(self, text):
+                    raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+                def flush(self):
+                    pass
+
+                def fileno(self):
+                    return sink.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(["solve", "--config", config, "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["p_star"]) == 4
+        assert capsys.readouterr().err == ""
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         config = write_config(

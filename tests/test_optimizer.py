@@ -20,7 +20,6 @@ from cacheplace.optimizer import (
     mpc_placement,
     placement_caps,
     solve_ocp,
-    water_filling_dual,
 )
 
 BS_DENSITY = 1.0 / 800.0**2
@@ -180,19 +179,12 @@ class TestSolveOcp:
 class TestDualBisection:
     """The breakpoint search for the budget's dual variable."""
 
-    def test_requires_tight_budget(self):
-        params = default_params()
-        cat = make_catalog(5, 0.7, [0.95] * 5, 4)
-        caps = placement_caps(cat, params)
-        with pytest.raises(ValueError):
-            water_filling_dual(cat, params, caps)
-
     def test_clipped_total_decreasing_in_dual(self):
         params = default_params()
         cat = make_catalog(8, 0.7, [0.2] * 8, 4)
         caps = placement_caps(cat, params)
         c = derive_constants(params, params.gamma_u)
-        nu_star = water_filling_dual(cat, params, caps)
+        nu_star = solve_ocp(cat, params, caps).dual
         totals = []
         for s in [0.25, 0.5, 1.0, 2.0, 4.0]:
             root = np.sqrt(c.tau2 * cat.popularity / (nu_star * s))

@@ -11,10 +11,10 @@ from cacheplace.simulator import (
     SimConfig,
     SimEstimate,
     SimulationConfigError,
-    _TrialScene,
     _trial_rng,
     _window_radius,
     sample_ppp,
+    simulate_file_hit,
     simulate_file_secrecy,
     simulate_hit,
 )
@@ -72,8 +72,6 @@ class TestConfigAndEstimate:
             SimConfig(trials=0)
         with pytest.raises(SimulationConfigError):
             SimConfig(seed=-1)
-        with pytest.raises(SimulationConfigError):
-            SimConfig(min_expected_bs=0)
 
     def test_window_must_exceed_guard_radius(self):
         cfg = SimConfig(trials=1, window_radius=100.0)
@@ -156,20 +154,32 @@ class TestSimulateHit:
 
 
 def per_file_reference(p, params, cfg, exclusion_radius, threshold):
-    """Per-file success counts, walking the scene once for each file."""
+    """Per-file success counts: each scene drawn here and walked once per file."""
     radius = _window_radius(params, cfg)
+    alpha = params.alpha
+    tail_mean = (
+        2.0 * math.pi * params.bs_density * radius ** (2.0 - alpha) / (alpha - 2.0)
+    )
+    excluded = -1.0 if exclusion_radius is None else exclusion_radius**2
     counts = np.zeros(len(p))
     for trial in range(cfg.trials):
-        scene = _TrialScene(_trial_rng(cfg.seed, trial), params, radius)
+        rng = _trial_rng(cfg.seed, trial)
+        bs = sample_ppp(params.bs_density, radius, rng)
+        eav = sample_ppp(params.eaves_density, radius, rng)
+        fade = rng.exponential(size=len(bs))
+        cache_u = rng.random(len(bs))
+        dist2 = bs[:, 0] ** 2 + bs[:, 1] ** 2
+        power = fade * dist2 ** (-alpha / 2.0)
+        total_power = float(power.sum()) + tail_mean
         for i, p_i in enumerate(p):
-            excluded = -1.0 if exclusion_radius is None else exclusion_radius**2
-            for b in scene.order:
-                if scene.cache_u[b] >= p_i or scene.dist2[b] <= excluded:
+            for b in np.argsort(dist2):
+                if cache_u[b] >= p_i or dist2[b] <= excluded:
                     continue
-                if scene.transmits(b):
-                    signal = scene.power[b]
-                    counts[i] += signal > threshold * (scene.total_power - signal)
-                    break
+                gap2 = ((eav - bs[b]) ** 2).sum(axis=1)
+                if np.any(gap2 < params.guard_radius**2):
+                    continue  # muted by its guard zone
+                counts[i] += power[b] > threshold * (total_power - power[b])
+                break
     return counts
 
 
@@ -182,6 +192,7 @@ def test_shared_walk_matches_per_file_reference():
     wiretapped = per_file_reference(p, params, cfg, params.guard_radius, params.gamma_e)
     result = simulate_hit(PlacementPolicy(p), cat, params, cfg)
     assert [e.estimate for e in result.per_file] == list(hits / cfg.trials)
+    assert simulate_file_hit(p, params, cfg) == result.per_file
     secrecy = simulate_file_secrecy(p, params, cfg)
     assert [e.estimate for e in secrecy] == list((cfg.trials - wiretapped) / cfg.trials)
 
@@ -196,11 +207,13 @@ class TestSimulateSecrecy:
         def no_scene(*args):
             raise AssertionError("a scene was sampled")
 
-        monkeypatch.setattr("cacheplace.simulator._TrialScene", no_scene)
-        estimates = simulate_file_secrecy(
-            np.zeros(3), default_params(), SimConfig(trials=100)
-        )
+        monkeypatch.setattr("cacheplace.simulator.sample_ppp", no_scene)
+        params, cfg = default_params(), SimConfig(trials=100)
+        estimates = simulate_file_secrecy(np.zeros(3), params, cfg)
         assert estimates == (SimEstimate(1.0, 100, 0.0),) * 3
+        assert simulate_file_hit(np.zeros(3), params, cfg) == (
+            SimEstimate(0.0, 100, 0.0),
+        ) * 3
 
     def test_huge_eaves_threshold_gives_secrecy(self):
         # gamma_e = +60 dB is unreachable for any interfered eavesdropper.
@@ -223,10 +236,9 @@ class TestSimulateSecrecy:
         params = default_params()
         cfg = SimConfig(trials=300, seed=31)
         p = [0.7, 0.0, 0.2, 1.0, 0.2, 0.45]
-        together = simulate_file_secrecy(p, params, cfg)
-        assert together == tuple(
-            simulate_file_secrecy([p_i], params, cfg)[0] for p_i in p
-        )
+        for simulate in (simulate_file_secrecy, simulate_file_hit):
+            together = simulate(p, params, cfg)
+            assert together == tuple(simulate([p_i], params, cfg)[0] for p_i in p)
 
     def test_window_size_stability(self):
         # Doubling the observation window must not shift the estimate by
@@ -243,6 +255,7 @@ class TestSimulateSecrecy:
         )
 
     def test_domain_error(self):
-        for p in ([1.3], [0.5, float("nan")], 0.5):
-            with pytest.raises(ValueError):
-                simulate_file_secrecy(p, default_params(), SimConfig(trials=1))
+        for simulate in (simulate_file_secrecy, simulate_file_hit):
+            for p in ([1.3], [0.5, float("nan")], 0.5):
+                with pytest.raises(ValueError):
+                    simulate(p, default_params(), SimConfig(trials=1))
