@@ -35,7 +35,6 @@ from .simulator import (
     HitSimResult,
     SimConfig,
     SimEstimate,
-    sample_ppp,
     simulate_file_hit,
     simulate_file_secrecy,
     simulate_hit,

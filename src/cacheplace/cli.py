@@ -8,7 +8,9 @@ closed forms and per-file simulators. Simulation seeds are derived from the
 master seed and the (point, scheme) path; all files of a scheme, all points
 of a p_i sweep, and each validate grid share one simulated scene set, so
 every output depends only on the seeds. Exit codes: 0 success, 1
-validation failure, 2 invalid input (including an unwritable output path).
+validation failure, 2 invalid input (including a value of the wrong JSON
+type, an unwritable output path, and parameters that drive a closed form
+out of floating-point range or a quadrature past its error budget).
 A stdout closed by its reader ends the run quietly with the command's own
 status, after every output file is written.
 """
@@ -33,6 +35,7 @@ from .analytic import (
 from .catalog import FileCatalog, PlacementPolicy, make_catalog, sample_secrecy_levels
 from .optimizer import lcc_placement, mpc_placement, placement_caps, solve_ocp
 from .simulator import SimConfig, simulate_file_hit, simulate_file_secrecy, simulate_hit
+from .special import ConvergenceError
 
 CSV_COLUMNS = [
     "sweep_var",
@@ -131,54 +134,104 @@ def _load_config(path):
         raise SpecError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
+def _object(value, path):
+    if not isinstance(value, dict):
+        raise SpecError(f"{path} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(value, path):
+    """A JSON number (not a boolean) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{path} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpecError(f"{path} is out of range, got {value!r}") from None
+
+
+def _integer(value, path):
+    """A JSON number with an exact integral value (not a boolean) as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{path} must be an integer, got {value!r}")
+    if isinstance(value, float) and not (value.is_integer() and abs(value) < 2**53):
+        raise SpecError(f"{path} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number_list(value, path):
+    """A JSON array of numbers as a list of floats."""
+    if not isinstance(value, (list, tuple)):
+        raise SpecError(f"{path} must be a list of numbers, got {value!r}")
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def _build_catalog(doc, config_dir):
     source = doc.get("source", "sampled")
+    where = "catalog"
     if source == "file":
         path = doc.get("path")
-        if not path:
-            raise SpecError("catalog source 'file' requires a 'path'")
+        if not path or not isinstance(path, str):
+            raise SpecError("catalog source 'file' requires a 'path' string")
         if not os.path.isabs(path):
             path = os.path.join(config_dir, path)
         try:
             with open(path) as fh:
-                file_doc = json.load(fh)
+                doc = _object(json.load(fh), f"catalog file {path}")
         except (OSError, json.JSONDecodeError) as exc:
             raise SpecError(f"cannot read catalog file {path}: {exc}") from exc
-        return FileCatalog.from_json_dict(file_doc)
-    merged = {**DEFAULT_CATALOG, **doc}
-    if source == "inline":
-        if "epsilon" not in doc:
-            raise SpecError("catalog source 'inline' requires an 'epsilon' list")
-        epsilon = doc["epsilon"]
-    elif source == "sampled":
-        epsilon = sample_secrecy_levels(
-            int(merged["F"]), float(merged["epsilon_max"]), int(merged["seed"])
-        )
-    else:
+        for key in ("F", "beta", "epsilon", "C"):
+            if key not in doc:
+                raise SpecError(f"catalog file {path} is missing key {key!r}")
+        where = path
+    elif source not in ("inline", "sampled"):
         raise SpecError(f"unknown catalog source {source!r}")
+    merged = {**DEFAULT_CATALOG, **doc}
+    file_count = _integer(merged["F"], f"{where}.F")
+    if source == "sampled":
+        epsilon = sample_secrecy_levels(
+            file_count,
+            _number(merged["epsilon_max"], f"{where}.epsilon_max"),
+            _integer(merged["seed"], f"{where}.seed"),
+        )
+    elif "epsilon" not in doc:
+        raise SpecError("catalog source 'inline' requires an 'epsilon' list")
+    else:
+        epsilon = _number_list(doc["epsilon"], f"{where}.epsilon")
     return make_catalog(
-        int(merged["F"]), float(merged["beta"]), epsilon, int(merged["C"])
+        file_count,
+        _number(merged["beta"], f"{where}.beta"),
+        epsilon,
+        _integer(merged["C"], f"{where}.C"),
     )
 
 
 def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=False):
-    """Validate a raw config document into an ExperimentSpec."""
-    params_db = {**DEFAULT_PARAMS, **doc.get("params", {})}
+    """Validate a raw config document into an ExperimentSpec.
+
+    Every value is read by type: numbers must be JSON numbers, counts
+    integral ones, and lists JSON arrays; a SpecError names the JSON path of
+    the first value that is not.
+    """
+    doc = _object(doc, "the config")
+    params_db = {**DEFAULT_PARAMS, **_object(doc.get("params", {}), "params")}
     params = NetworkParams.with_db_thresholds(
-        bs_density=float(params_db["bs_density"]),
-        eaves_density=float(params_db["eaves_density"]),
-        alpha=float(params_db["alpha"]),
-        guard_radius=float(params_db["guard_radius"]),
-        gamma_u_db=float(params_db["gamma_u_db"]),
-        gamma_e_db=float(params_db["gamma_e_db"]),
+        **{
+            key: _number(params_db[key], f"params.{key}")
+            for key in (
+                "bs_density", "eaves_density", "alpha", "guard_radius",
+                "gamma_u_db", "gamma_e_db",
+            )
+        }
     )
-    catalog_doc = doc.get("catalog", {})
+    catalog_doc = _object(doc.get("catalog", {}), "catalog")
     catalog = _build_catalog(catalog_doc, config_dir)
 
     sweep_var, sweep_values = None, []
     if doc.get("sweep"):
-        sweep_var = doc["sweep"].get("variable")
-        sweep_values = [float(v) for v in doc["sweep"].get("values", [])]
+        sweep = _object(doc["sweep"], "sweep")
+        sweep_var = sweep.get("variable")
+        sweep_values = _number_list(sweep.get("values", []), "sweep.values")
         if sweep_var not in SWEEP_VARIABLES:
             raise SpecError(
                 f"sweep variable must be one of {SWEEP_VARIABLES}, got {sweep_var!r}"
@@ -188,7 +241,10 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
         if any(b <= a for a, b in zip(sweep_values, sweep_values[1:])):
             raise SpecError("sweep values must be strictly increasing")
 
-    schemes = list(doc.get("schemes", ["OCP", "MPC", "LCC"]))
+    schemes = doc.get("schemes", ["OCP", "MPC", "LCC"])
+    if not isinstance(schemes, (list, tuple)):
+        raise SpecError(f"schemes must be a list, got {schemes!r}")
+    schemes = list(schemes)
     if not schemes:
         raise SpecError("schemes must be non-empty")
     for scheme in schemes:
@@ -198,10 +254,10 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
     fixed_policy = None
     if doc.get("fixed_policy") is not None:
         raw = doc["fixed_policy"]
-        if isinstance(raw, (int, float)):
-            fixed_policy = np.full(catalog.file_count, float(raw))
+        if isinstance(raw, (list, tuple)):
+            fixed_policy = np.asarray(_number_list(raw, "fixed_policy"))
         else:
-            fixed_policy = np.asarray([float(v) for v in raw])
+            fixed_policy = np.full(catalog.file_count, _number(raw, "fixed_policy"))
         if len(fixed_policy) != catalog.file_count:
             raise SpecError("fixed_policy length must equal the catalog size")
         if not np.all((fixed_policy >= 0) & (fixed_policy <= 1)):
@@ -211,11 +267,16 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
 
     sim = None
     if not no_sim and (doc.get("sim") or trials is not None or seed is not None):
-        sim_doc = doc.get("sim") or {}
-        sim = SimConfig(
-            trials=int(trials if trials is not None else sim_doc.get("trials", 10_000)),
-            seed=int(seed if seed is not None else sim_doc.get("seed", 0)),
-        )
+        sim_doc = _object(doc.get("sim") or {}, "sim")
+        if trials is None:
+            trials = _integer(sim_doc.get("trials", 10_000), "sim.trials")
+        if seed is None:
+            seed = _integer(sim_doc.get("seed", 0), "sim.seed")
+        sim = SimConfig(trials=trials, seed=seed)
+
+    output = out if out is not None else doc.get("output")
+    if output is not None and not isinstance(output, str):
+        raise SpecError(f"output must be a path string, got {output!r}")
 
     return ExperimentSpec(
         params=params,
@@ -227,7 +288,7 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
         schemes=schemes,
         fixed_policy=fixed_policy,
         sim=sim,
-        output=out if out is not None else doc.get("output"),
+        output=output,
         validate=doc.get("validate", {}),
     )
 
@@ -414,10 +475,13 @@ def run_validate(spec):
     """
     if spec.sim is None:
         raise SpecError("validate requires simulation (remove --no-sim / add 'sim')")
-    hit_grid = [float(v) for v in spec.validate.get("hit_p", [0.2, 0.5, 1.0])]
-    secrecy_grid = [float(v) for v in spec.validate.get("secrecy_p", [0.2, 0.5, 0.8])]
-    hit_tol = float(spec.validate.get("hit_tol", 0.01))
-    secrecy_tol = float(spec.validate.get("secrecy_tol", 0.015))
+    settings = _object(spec.validate, "validate")
+    hit_grid = _number_list(settings.get("hit_p", [0.2, 0.5, 1.0]), "validate.hit_p")
+    secrecy_grid = _number_list(
+        settings.get("secrecy_p", [0.2, 0.5, 0.8]), "validate.secrecy_p"
+    )
+    hit_tol = _number(settings.get("hit_tol", 0.01), "validate.hit_tol")
+    secrecy_tol = _number(settings.get("secrecy_tol", 0.015), "validate.secrecy_tol")
     params = spec.params
 
     hit = zip(
@@ -513,6 +577,11 @@ def main(argv=None):
         status, lines = _execute(args)
     except (SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ArithmeticError, ConvergenceError) as exc:
+        # The input drove a closed form out of floating-point range, or a
+        # quadrature past its error budget.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     try:
         for line in lines:

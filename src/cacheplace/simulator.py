@@ -5,17 +5,24 @@ point processes in a finite window, applies the exact guard-zone rule (a BS
 switches to artificial noise whenever any eavesdropper lies within the guard
 radius of it, unlike the independent-thinning approximation the closed forms
 use), draws unit-mean exponential fades, and tests the SIR event at the
-origin. Trials use counter-based substreams keyed on (seed, trial index), so
-results are reproducible and independent of execution order.
+origin.
+
+Trials run in blocks of rows, one trial per row; each block has its own
+generator, keyed on (seed, block index), so results depend only on the seed
+and the trial count (which sets the length of the last block). A block's
+base stations are drawn already in distance order: their squared distances
+are sorted uniforms built from cumulative sums of exponentials, so no trial
+sorts anything.
 
 Every file of a call is resolved from the same scene per trial (common
 random numbers): one caching uniform per BS decides which files it holds,
-and a single walk over the BSs in distance order finds each file's serving
-transmitter. Each scene is drawn and walked once, by one per-trial function
-that the hit and secrecy simulators share; they differ only in the exclusion
+and one vectorised walk per block, over the BSs in distance order, finds
+each file's serving transmitter in every trial. The hit and secrecy
+simulators share the draw and the walk; they differ only in the exclusion
 disk around the origin and the SIR threshold. A scene's draws do not depend
 on the caching probabilities, so a whole grid of p (the files of a
-placement, or the points of a sweep) is resolved from one scene set.
+placement, or the points of a sweep) is resolved from one scene set, and
+each entry equals a one-file call at its own p with the same seed.
 
 Because every BS transmits at full power (a file, another file, or
 artificial noise), the total received power at the origin is the same sum
@@ -33,7 +40,6 @@ __all__ = [
     "SimConfig",
     "SimEstimate",
     "HitSimResult",
-    "sample_ppp",
     "simulate_hit",
     "simulate_file_hit",
     "simulate_file_secrecy",
@@ -42,6 +48,15 @@ __all__ = [
 
 # Expected base stations in an automatically sized window, at the least.
 _MIN_EXPECTED_BS = 1000
+# Expected draws of the larger point process (base stations or
+# eavesdroppers) per block of trials: the block's working set stays at a few
+# MB whatever the window and densities.
+_BLOCK_DRAWS = 2**14
+# Expected points of one trial, at the most: a scene must fit in memory.
+_MAX_POINTS_PER_TRIAL = 10**6
+# Nearest base stations the walk looks at first, doubled while some trial
+# of the block still has an unserved file.
+_FIRST_COLUMNS = 32
 
 
 class SimulationConfigError(ValueError):
@@ -91,12 +106,6 @@ class HitSimResult:
     aggregate: SimEstimate
 
 
-def _trial_rng(seed, trial):
-    # Philox is counter-based: (seed, trial) keys independent substreams.
-    key = np.array([seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _window_radius(params, cfg):
     if cfg.window_radius is not None:
         if cfg.window_radius <= params.guard_radius:
@@ -104,78 +113,132 @@ def _window_radius(params, cfg):
                 f"window_radius {cfg.window_radius} must exceed the guard radius "
                 f"{params.guard_radius}"
             )
-        return float(cfg.window_radius)
-    by_count = math.sqrt(_MIN_EXPECTED_BS / (math.pi * params.bs_density))
-    by_spacing = 10.0 / (2.0 * math.sqrt(params.bs_density))
-    radius = max(by_count, by_spacing)
-    if radius <= params.guard_radius:
-        radius = 2.0 * params.guard_radius
+        radius = float(cfg.window_radius)
+    else:
+        by_count = math.sqrt(_MIN_EXPECTED_BS / (math.pi * params.bs_density))
+        by_spacing = 10.0 / (2.0 * math.sqrt(params.bs_density))
+        radius = max(by_count, by_spacing)
+        if radius <= params.guard_radius:
+            radius = 2.0 * params.guard_radius
+    points = sum(_expected_points(params, radius))
+    if not points <= _MAX_POINTS_PER_TRIAL:
+        raise SimulationConfigError(
+            f"a trial would draw {points:.3g} points on average; at most "
+            f"{_MAX_POINTS_PER_TRIAL:.0e} fit in memory"
+        )
     return radius
 
 
-def sample_ppp(density, radius, rng):
-    """One realization of a homogeneous PPP in a disk around the origin.
-
-    Returns an (n, 2) array; n is Poisson with mean density * pi * radius^2
-    and the points are uniform in the disk.
-    """
-    if density < 0:
-        raise ValueError(f"density must be >= 0, got {density}")
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    n = rng.poisson(density * math.pi * radius**2)
-    r = radius * np.sqrt(rng.random(n))
-    theta = 2.0 * math.pi * rng.random(n)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-
-
-def _trial_successes(rng, params, radius, p_asc, exclusion_radius, threshold):
-    """Draw one scene and, per file, whether its serving BS clears the threshold.
-
-    p_asc holds positive caching probabilities in ascending order. A file is
-    served by the nearest BS outside the exclusion radius (None for no
-    exclusion) that caches it (cache_u < p) and transmits; a file with no
-    such BS in the window fails. The cache uniforms are shared, so one walk
-    in distance order resolves every file: each transmitting BS serves the
-    still unserved files whose p exceeds its cache_u. Only the BSs that can
-    serve some file are sorted, and only those the walk reaches get a
-    guard-zone check.
-    """
-    bs = sample_ppp(params.bs_density, radius, rng)
-    eav = sample_ppp(params.eaves_density, radius, rng)
-    fade = rng.exponential(size=len(bs))
-    cache_u = rng.random(len(bs))
-    dist2 = bs[:, 0] ** 2 + bs[:, 1] ** 2
-    power = fade * dist2 ** (-params.alpha / 2.0)
-    # Beyond-window interferers are replaced by their exact mean,
-    # 2 pi lambda R^(2-alpha) / (alpha - 2): with alpha close to 2 the
-    # truncated far field is not negligible at any affordable radius and
-    # would bias every SIR upward by more than the Monte Carlo error.
-    tail_mean = (
-        2.0 * math.pi * params.bs_density * radius ** (2.0 - params.alpha)
-        / (params.alpha - 2.0)
+def _expected_points(params, radius):
+    """Expected base stations in the disk and eavesdroppers in its square."""
+    return (
+        math.pi * params.bs_density * radius**2,
+        4.0 * params.eaves_density * radius**2,
     )
-    total_power = float(power.sum()) + tail_mean
-    candidate = cache_u < p_asc[-1]
-    if exclusion_radius is not None:
-        candidate &= dist2 > exclusion_radius**2
-    candidates = np.flatnonzero(candidate)
-    guard2 = params.guard_radius**2
-    success = np.zeros(len(p_asc), dtype=bool)
-    unserved = len(p_asc)  # files p_asc[:unserved] have no BS yet
-    for b in candidates[np.argsort(dist2[candidates])]:
-        if cache_u[b] >= p_asc[unserved - 1]:
-            continue
-        if guard2 > 0.0 and len(eav):  # muted if an eavesdropper is within D
-            if ((eav - bs[b]) ** 2).sum(axis=1).min() < guard2:
+
+
+def _block_rows(params, radius):
+    """Trials per block: about _BLOCK_DRAWS points of the larger process."""
+    return max(1, round(_BLOCK_DRAWS / max(_expected_points(params, radius))))
+
+
+def _scene_blocks(params, radius, seed, trials):
+    """The scenes of trials 0, ..., trials - 1, one block of rows at a time.
+
+    Block b is drawn by its own generator, keyed on (seed, b); a block's
+    draws depend on the seed, the block index and its row count (the last
+    block may be short), never on the caching probabilities.
+    """
+    rows = _block_rows(params, radius)
+    for block, start in enumerate(range(0, trials, rows)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+        yield _draw_block(rng, params, radius, min(rows, trials - start))
+
+
+def _draw_block(rng, params, radius, rows):
+    """Scenes of `rows` trials; returns (dist2, cache_u, fade, angle, eav).
+
+    Row t holds trial t's base stations in distance order, nearest first:
+    their count is Poisson with mean density * pi * radius^2, and the row is
+    padded to the block's largest count with dist2 = cache_u = inf, so that
+    a padding entry adds no power and caches no file. The squared distances
+    of n uniform points in the disk are radius^2 times n sorted uniforms,
+    drawn already sorted as U_(k) = S_k / S_(n+1) from the partial sums S of
+    n + 1 unit exponentials. Each base station also gets a caching uniform,
+    a unit-mean exponential fade and a uniform angle. eav holds each trial's
+    eavesdroppers as complex positions, padded with nan: a Poisson number of
+    uniform points in the enclosing square, of which those outside the disk
+    are padding too.
+    """
+    area = math.pi * radius**2
+    bs_count = rng.poisson(params.bs_density * area, rows)
+    eav_count = rng.poisson(params.eaves_density * 4.0 * radius**2, rows)
+    width = bs_count.max()
+    sums = np.cumsum(rng.standard_exponential((rows, width + 1)), axis=1)
+    real = np.arange(width) < bs_count[:, None]
+    scale = radius**2 / sums[np.arange(rows), bs_count]
+    dist2 = np.where(real, sums[:, :width] * scale[:, None], np.inf)
+    cache_u = np.where(real, rng.random((rows, width)), np.inf)
+    fade = rng.standard_exponential((rows, width))
+    angle = 2.0 * math.pi * rng.random((rows, width))
+    # Uniform points in the enclosing square, kept inside the disk.
+    square = radius * (2.0 * rng.random((rows, eav_count.max(), 2)) - 1.0)
+    eav = square.view(complex)[..., 0]
+    padding = np.arange(eav.shape[1]) >= eav_count[:, None]
+    eav[padding | (np.abs(eav) > radius)] = np.nan
+    return dist2, cache_u, fade, angle, eav
+
+
+def _block_successes(scene, params, tail_mean, p_asc, exclusion2, threshold):
+    """Per file, the trials of one block whose serving BS clears the threshold.
+
+    p_asc holds positive caching probabilities in ascending order. A file
+    is served by the nearest BS beyond the exclusion disk (squared radius
+    exclusion2) that caches it (cache_u < p) and is not muted by an
+    eavesdropper within its guard radius; a file with no such BS in the
+    window fails. Because the caching uniforms are shared, the serving BS
+    of p is the first record (an eligible BS whose cache_u is below that of
+    every eligible BS nearer the origin) with cache_u < p, and each record
+    serves the files with p in (its cache_u, the previous record's cache_u].
+    Records are found by a prefix minimum over the nearest columns, widened
+    while some trial still has an unserved file; only records get a
+    guard-zone check, and the records are found again after any is muted.
+    """
+    dist2, cache_u, fade, angle, eav = scene
+    # Every BS transmits, so the total power at the origin ignores the marks.
+    power = fade * dist2 ** (-params.alpha / 2.0)
+    total_power = power.sum(axis=1) + tail_mean
+    eligible = (cache_u < p_asc[-1]) & (dist2 > exclusion2)
+    checked = np.zeros_like(eligible)
+    guard = params.guard_radius
+    mutes = guard > 0.0 and eav.shape[1] > 0
+    width = dist2.shape[1]
+    columns = min(_FIRST_COLUMNS, width)
+    while True:
+        u = np.where(eligible[:, :columns], cache_u[:, :columns], np.inf)
+        before = np.full_like(u, np.inf)  # prefix minimum of the nearer BSs
+        np.minimum.accumulate(u[:, :-1], axis=1, out=before[:, 1:])
+        record = (u < before) & (before >= p_asc[0])
+        if mutes:
+            rows, cols = np.nonzero(record & ~checked[:, :columns])
+            checked[rows, cols] = True
+            bs = np.sqrt(dist2[rows, cols]) * np.exp(1j * angle[rows, cols])
+            muted = (np.abs(eav[rows] - bs[:, None]) < guard).any(axis=1)
+            if muted.any():
+                eligible[rows[muted], cols[muted]] = False
                 continue
-        first = np.searchsorted(p_asc, cache_u[b], side="right")
-        signal = power[b]
-        success[first:unserved] = signal > threshold * (total_power - signal)
-        unserved = first
-        if unserved == 0:
-            break
-    return success
+        if columns < width and (u.min(axis=1) >= p_asc[0]).any():
+            columns = min(2 * columns, width)
+            continue
+        break
+    rows, cols = np.nonzero(record)
+    signal = power[rows, cols]
+    success = signal > threshold * (total_power[rows] - signal)
+    first = np.searchsorted(p_asc, cache_u[rows, cols][success], side="right")
+    last = np.searchsorted(p_asc, before[rows, cols][success], side="right")
+    bins = len(p_asc) + 1
+    served = np.bincount(first, minlength=bins) - np.bincount(last, minlength=bins)
+    return np.cumsum(served)[:-1]
 
 
 def _success_counts(p, params, cfg, exclusion_radius, threshold):
@@ -187,13 +250,20 @@ def _success_counts(p, params, cfg, exclusion_radius, threshold):
     radius = _window_radius(params, cfg)
     files = np.argsort(p, kind="stable")
     files = files[p[files] > 0.0]
-    p_asc = p[files]
     counts = np.zeros(len(p))
     if len(files):
-        for trial in range(cfg.trials):
-            counts[files] += _trial_successes(
-                _trial_rng(cfg.seed, trial), params, radius, p_asc,
-                exclusion_radius, threshold,
+        # Beyond-window interferers are replaced by their exact mean,
+        # 2 pi lambda R^(2-alpha) / (alpha - 2): with alpha close to 2 the
+        # truncated far field is not negligible at any affordable radius and
+        # would bias every SIR upward by more than the Monte Carlo error.
+        tail_mean = (
+            2.0 * math.pi * params.bs_density * radius ** (2.0 - params.alpha)
+            / (params.alpha - 2.0)
+        )
+        exclusion2 = -np.inf if exclusion_radius is None else exclusion_radius**2
+        for scene in _scene_blocks(params, radius, cfg.seed, cfg.trials):
+            counts[files] += _block_successes(
+                scene, params, tail_mean, p[files], exclusion2, threshold
             )
     return counts
 

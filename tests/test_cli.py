@@ -6,9 +6,12 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cacheplace.cli import (
     CSV_COLUMNS,
@@ -19,6 +22,7 @@ from cacheplace.cli import (
     run_validate,
 )
 from cacheplace.simulator import simulate_file_hit, simulate_file_secrecy
+from cacheplace.special import ConvergenceError
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -422,3 +426,133 @@ class TestErrorHandling:
         out = str(tmp_path / "no-such-dir" / "r.csv")
         assert main(["sweep", "--config", config, "--out", out, "--no-sim"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestTypedConfig:
+    """Values of the wrong JSON type exit 2 with an error naming their path."""
+
+    @pytest.mark.parametrize(
+        ("doc", "path"),
+        [
+            ({"params": {"alpha": None}}, "params.alpha"),
+            ({"params": {"guard_radius": True}}, "params.guard_radius"),
+            ({"params": [1]}, "params"),
+            ({"catalog": {**SMALL_CATALOG, "epsilon": 0.1}}, "catalog.epsilon"),
+            ({"catalog": {**SMALL_CATALOG, "epsilon": [0.1, "x", 0.2, 0.4]}},
+             "catalog.epsilon[1]"),
+            ({"catalog": {"F": 10.7}}, "catalog.F"),
+            ({"catalog": {"C": True}}, "catalog.C"),
+            ({"catalog": {"seed": "1"}}, "catalog.seed"),
+            ({"catalog": {"source": "file", "path": 3}}, "catalog source 'file'"),
+            ({"sweep": {"variable": "beta", "values": "0.5"}}, "sweep.values"),
+            ({"sweep": [1]}, "sweep"),
+            ({"schemes": "OCP"}, "schemes"),
+            ({"fixed_policy": [0.5, None]}, "fixed_policy[1]"),
+            ({"output": 1}, "output"),
+        ],
+    )
+    def test_wrong_type_exits_2(self, tmp_path, capsys, doc, path):
+        config = write_config(tmp_path, doc)
+        assert main(["solve", "--config", config]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}")
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        config = write_config(tmp_path, [1, 2])
+        assert main(["solve", "--config", config]) == 2
+        assert "error: the config must be a JSON object" in capsys.readouterr().err
+
+    def test_non_integral_trials_exit_2(self, tmp_path, capsys):
+        # A non-integral count is an error, never truncated.
+        config = write_config(tmp_path, {"catalog": SMALL_CATALOG,
+                                         "sim": {"trials": 2.5, "seed": 1}})
+        assert main(["validate", "--config", config]) == 2
+        assert "error: sim.trials must be an integer" in capsys.readouterr().err
+
+    def test_integral_floats_still_count(self):
+        spec = parse_spec({"catalog": {"F": 10.0, "C": 5.0},
+                           "sim": {"trials": 20.0, "seed": 3.0}})
+        assert spec.catalog.file_count == 10
+        assert (spec.sim.trials, spec.sim.seed) == (20, 3)
+
+    def test_catalog_file_is_read_by_type(self, tmp_path, capsys):
+        (tmp_path / "catalog.json").write_text(
+            json.dumps({"F": 3.5, "beta": 1.0, "epsilon": [0.1, 0.2, 0.3], "C": 1})
+        )
+        config = write_config(tmp_path, {"catalog": {"source": "file",
+                                                     "path": "catalog.json"}})
+        assert main(["solve", "--config", config]) == 2
+        assert "catalog.json.F must be an integer" in capsys.readouterr().err
+
+    def test_non_convergence_exits_2(self, tmp_path, capsys, monkeypatch):
+        def over_budget(*args, **kwargs):
+            raise ConvergenceError("quadrature error over budget", 0.5, 1e-3)
+
+        monkeypatch.setattr("cacheplace.cli.solve_ocp", over_budget)
+        config = write_config(tmp_path, {"catalog": SMALL_CATALOG})
+        assert main(["solve", "--config", config]) == 2
+        assert "error: ConvergenceError" in capsys.readouterr().err
+
+    def test_overflow_exits_2(self, tmp_path, capsys):
+        # 2 ** 1e300 overflows in the Zipf weights.
+        config = write_config(tmp_path, {"catalog": {"beta": 1e300}})
+        assert main(["solve", "--config", config]) == 2
+        assert "error: OverflowError" in capsys.readouterr().err
+
+
+# Small magnitudes keep every generated catalog, sweep and simulation cheap.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 30)
+    | st.floats(-50.0, 50.0)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 1e300])
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def sections(keys):
+    """An arbitrary JSON value, or an object over some of the known keys."""
+    known = st.dictionaries(st.sampled_from(keys), JSON_VALUES, max_size=len(keys))
+    return known | JSON_VALUES
+
+
+CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "params": sections(["alpha", "bs_density", "eaves_density",
+                            "guard_radius", "gamma_u_db", "gamma_e_db"]),
+        "catalog": sections(["source", "F", "beta", "C", "epsilon",
+                             "epsilon_max", "seed", "path"]),
+        "sweep": sections(["variable", "values"])
+        | st.fixed_dictionaries({
+            "variable": st.sampled_from(["beta", "D", "gamma_e", "p_i"]),
+            "values": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3,
+                               unique=True).map(sorted),
+        }),
+        "schemes": JSON_VALUES
+        | st.lists(st.sampled_from(["OCP", "MPC", "LCC", "FIXED"]), max_size=3),
+        "fixed_policy": JSON_VALUES,
+        "sim": sections(["trials", "seed"]),
+        "validate": sections(["hit_p", "secrecy_p", "hit_tol", "secrecy_tol"]),
+        "output": JSON_VALUES,
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve"], ["sweep", "--no-sim"], ["validate", "--trials", "5"]]
+)
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=CONFIGS | JSON_VALUES)
+def test_any_json_config_keeps_the_exit_code_contract(argv, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp, "out")
+        status = main([argv[0], "--config", config, "--out", out, *argv[1:]])
+    assert status in ((0, 1, 2) if argv[0] == "validate" else (0, 2))

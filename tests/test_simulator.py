@@ -11,9 +11,10 @@ from cacheplace.simulator import (
     SimConfig,
     SimEstimate,
     SimulationConfigError,
-    _trial_rng,
+    _block_rows,
+    _draw_block,
+    _scene_blocks,
     _window_radius,
-    sample_ppp,
     simulate_file_hit,
     simulate_file_secrecy,
     simulate_hit,
@@ -35,35 +36,66 @@ def default_params(**overrides):
     return NetworkParams(**kwargs)
 
 
-class TestSamplePpp:
+class TestBlockDraw:
+    RADIUS = 5_000.0
+
+    def draw(self, seed, rows=3_000, **overrides):
+        rng = np.random.default_rng(seed)
+        return _draw_block(rng, default_params(**overrides), self.RADIUS, rows)
+
     def test_zero_density_is_empty(self):
-        rng = np.random.default_rng(0)
-        points = sample_ppp(0.0, 1000.0, rng)
-        assert points.shape == (0, 2)
+        *_, eav = self.draw(0, rows=5, eaves_density=0.0)
+        assert eav.shape == (5, 0)
 
     def test_mean_count(self):
-        rng = np.random.default_rng(1)
-        radius = 16_000.0
-        expected = BS_DENSITY * math.pi * radius**2
-        counts = [len(sample_ppp(BS_DENSITY, radius, rng)) for _ in range(3000)]
-        assert np.mean(counts) == pytest.approx(expected, rel=0.02)
+        dist2, cache_u, _, _, eav = self.draw(1)
+        area = math.pi * self.RADIUS**2
+        counts = np.isfinite(dist2).sum(axis=1)
+        assert np.mean(counts) == pytest.approx(BS_DENSITY * area, rel=0.02)
+        eav_counts = np.isfinite(eav).sum(axis=1)
+        assert np.mean(eav_counts) == pytest.approx(BS_DENSITY / 5.0 * area, rel=0.03)
+        # Padding caches no file.
+        assert np.array_equal(np.isfinite(cache_u), np.isfinite(dist2))
+        real = cache_u[np.isfinite(cache_u)]
+        assert np.all((real >= 0.0) & (real < 1.0))
 
-    def test_points_inside_disk(self):
-        rng = np.random.default_rng(2)
-        points = sample_ppp(1e-4, 500.0, rng)
-        assert np.all(points[:, 0] ** 2 + points[:, 1] ** 2 <= 500.0**2 + 1e-9)
+    def test_distance_order_inside_window(self):
+        dist2, _, _, angle, eav = self.draw(2)
+        for row in dist2:
+            real = row[np.isfinite(row)]
+            assert np.all(np.diff(real) >= 0.0)
+            assert np.all(np.isinf(row[len(real):]))  # padding trails the row
+        finite = dist2[np.isfinite(dist2)]
+        assert finite.min() > 0.0 and finite.max() <= self.RADIUS**2 * (1.0 + 1e-12)
+        assert np.all((angle >= 0.0) & (angle < 2.0 * math.pi))
+        assert np.all(np.abs(eav[np.isfinite(eav)]) <= self.RADIUS)
+
+    def test_mean_nearest_distance(self):
+        # The nearest of a PPP has r^2 exponential with mean 1 / (lambda pi).
+        dist2, _, _, _, _ = self.draw(3)
+        nearest = dist2[:, 0]
+        stderr = nearest.std() / math.sqrt(len(nearest))
+        assert abs(nearest.mean() - 1.0 / (BS_DENSITY * math.pi)) <= 3.0 * stderr
 
     def test_seed_determinism(self):
-        a = sample_ppp(BS_DENSITY, 5000.0, np.random.default_rng(7))
-        b = sample_ppp(BS_DENSITY, 5000.0, np.random.default_rng(7))
-        assert np.array_equal(a, b)
+        a, b = self.draw(7, rows=20), self.draw(7, rows=20)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y, equal_nan=True)
+        c = self.draw(8, rows=20)
+        assert not np.array_equal(a[0], c[0])
 
-    def test_domain_errors(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_ppp(-1.0, 100.0, rng)
-        with pytest.raises(ValueError):
-            sample_ppp(1.0, 0.0, rng)
+    def test_blocks_are_keyed_on_seed_and_index(self):
+        params = default_params()
+        radius = _window_radius(params, SimConfig(trials=1))
+        rows = _block_rows(params, radius)
+        assert rows == 16  # 2^14 draws over 1000 expected BSs per trial
+        whole = list(_scene_blocks(params, radius, 5, 2 * rows + 3))
+        assert [len(block[0]) for block in whole] == [rows, rows, 3]
+        # A block depends on its own key, not on the blocks before it.
+        again = list(_scene_blocks(params, radius, 5, 2 * rows))
+        assert np.array_equal(whole[1][0], again[1][0])
+        other = list(_scene_blocks(params, radius, 6, 2 * rows))
+        assert not np.array_equal(whole[1][0], other[1][0])
 
 
 class TestConfigAndEstimate:
@@ -72,6 +104,12 @@ class TestConfigAndEstimate:
             SimConfig(trials=0)
         with pytest.raises(SimulationConfigError):
             SimConfig(seed=-1)
+
+    def test_scene_must_fit_in_memory(self):
+        # 1000 eavesdroppers per BS would put ~1.3e6 points in each trial.
+        params = default_params(eaves_density=1000.0 * BS_DENSITY)
+        with pytest.raises(SimulationConfigError, match="fit in memory"):
+            simulate_file_hit([0.5], params, SimConfig(trials=1))
 
     def test_window_must_exceed_guard_radius(self):
         cfg = SimConfig(trials=1, window_radius=100.0)
@@ -162,25 +200,34 @@ def per_file_reference(p, params, cfg, exclusion_radius, threshold):
     )
     excluded = -1.0 if exclusion_radius is None else exclusion_radius**2
     counts = np.zeros(len(p))
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
-        bs = sample_ppp(params.bs_density, radius, rng)
-        eav = sample_ppp(params.eaves_density, radius, rng)
-        fade = rng.exponential(size=len(bs))
-        cache_u = rng.random(len(bs))
-        dist2 = bs[:, 0] ** 2 + bs[:, 1] ** 2
+    for dist2, cache_u, fade, angle, eav in _scene_blocks(
+        params, radius, cfg.seed, cfg.trials
+    ):
         power = fade * dist2 ** (-alpha / 2.0)
-        total_power = float(power.sum()) + tail_mean
-        for i, p_i in enumerate(p):
-            for b in np.argsort(dist2):
-                if cache_u[b] >= p_i or dist2[b] <= excluded:
-                    continue
-                gap2 = ((eav - bs[b]) ** 2).sum(axis=1)
-                if np.any(gap2 < params.guard_radius**2):
-                    continue  # muted by its guard zone
-                counts[i] += power[b] > threshold * (total_power - power[b])
-                break
+        for trial in range(len(dist2)):
+            total_power = power[trial].sum() + tail_mean
+            for i, p_i in enumerate(p):
+                # The row is in distance order; padding never caches.
+                for b in range(dist2.shape[1]):
+                    if cache_u[trial, b] >= p_i or dist2[trial, b] <= excluded:
+                        continue
+                    position = np.sqrt(dist2[trial, b]) * np.exp(1j * angle[trial, b])
+                    if np.any(np.abs(eav[trial] - position) < params.guard_radius):
+                        continue  # muted by its guard zone
+                    signal = power[trial, b]
+                    counts[i] += signal > threshold * (total_power - signal)
+                    break
     return counts
+
+
+def assert_matches_reference(p, params, cfg):
+    hits = per_file_reference(p, params, cfg, None, params.gamma_u)
+    wiretapped = per_file_reference(p, params, cfg, params.guard_radius, params.gamma_e)
+    assert [e.estimate for e in simulate_file_hit(p, params, cfg)] == list(
+        hits / cfg.trials
+    )
+    secrecy = simulate_file_secrecy(p, params, cfg)
+    assert [e.estimate for e in secrecy] == list((cfg.trials - wiretapped) / cfg.trials)
 
 
 def test_shared_walk_matches_per_file_reference():
@@ -188,13 +235,31 @@ def test_shared_walk_matches_per_file_reference():
     cat = make_catalog(7, 0.7, [0.0] * 7, 3)
     p = np.array([0.05, 0.6, 0.0, 1.0, 0.6, 0.3, 0.9])
     cfg = SimConfig(trials=60, seed=4)
-    hits = per_file_reference(p, params, cfg, None, params.gamma_u)
-    wiretapped = per_file_reference(p, params, cfg, params.guard_radius, params.gamma_e)
+    assert_matches_reference(p, params, cfg)
     result = simulate_hit(PlacementPolicy(p), cat, params, cfg)
-    assert [e.estimate for e in result.per_file] == list(hits / cfg.trials)
     assert simulate_file_hit(p, params, cfg) == result.per_file
-    secrecy = simulate_file_secrecy(p, params, cfg)
-    assert [e.estimate for e in secrecy] == list((cfg.trials - wiretapped) / cfg.trials)
+
+
+@pytest.mark.parametrize("trials", [1, 15, 17, 49])
+def test_block_boundaries_match_reference(trials):
+    # 1, B - 1, B + 1 and 3B + 1 trials, at B = 16 rows per block.
+    params = default_params(guard_radius=600.0)
+    cfg = SimConfig(trials=trials, seed=11)
+    assert_matches_reference(np.array([0.1, 0.8, 0.35]), params, cfg)
+
+
+def test_sparse_window_matches_reference():
+    # About 0.44 BSs per window: most rows of a block are empty padding.
+    cfg = SimConfig(trials=40, seed=9, window_radius=300.0)
+    assert_matches_reference(np.array([0.3, 1.0]), default_params(), cfg)
+
+
+def test_rare_files_match_reference():
+    # Rare files are served far out, past the walk's first columns; at
+    # -50 dB thresholds such distant servers still clear the SIR test.
+    params = default_params(gamma_u=db_to_linear(-50.0), gamma_e=db_to_linear(-50.0))
+    cfg = SimConfig(trials=20, seed=3)
+    assert_matches_reference(np.array([0.002, 0.02, 1.0]), params, cfg)
 
 
 class TestSimulateSecrecy:
@@ -207,7 +272,7 @@ class TestSimulateSecrecy:
         def no_scene(*args):
             raise AssertionError("a scene was sampled")
 
-        monkeypatch.setattr("cacheplace.simulator.sample_ppp", no_scene)
+        monkeypatch.setattr("cacheplace.simulator._draw_block", no_scene)
         params, cfg = default_params(), SimConfig(trials=100)
         estimates = simulate_file_secrecy(np.zeros(3), params, cfg)
         assert estimates == (SimEstimate(1.0, 100, 0.0),) * 3
