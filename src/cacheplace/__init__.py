@@ -39,12 +39,6 @@ from .simulator import (
     simulate_file_secrecy,
     simulate_hit,
 )
-from .special import (
-    ConvergenceError,
-    QuadratureConfig,
-    beta,
-    hyp2f1_1b,
-    integrate_semi_infinite,
-)
+from .special import ConvergenceError, beta, hyp2f1_1b
 
 __version__ = "0.1.0"

@@ -5,21 +5,31 @@ a homogeneous PPP of base stations of density lambda, an independent PPP of
 eavesdroppers of density lambda_e, and a secrecy guard zone of radius D
 around every base station. SIR thresholds are linear here; the CLI converts
 from dB exactly once at the boundary.
+
+The exact secrecy probability is the one integral left. Its variable is
+v = k pi lam_a (r^2 - D^2) with k = 1 + rate / (pi lam_a), which puts every
+file's integrand on the scale exp(theta(v) - v) on [0, inf), so one
+vector-valued adaptive quadrature serves all files at once.
 """
 
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy import integrate
 
-from .special import QuadratureConfig, beta, hyp2f1_1b, integrate_semi_infinite
+from .special import ConvergenceError, beta, hyp2f1_1b
+
+# Tolerances of the exact-secrecy quadrature, in the max norm over files.
+_QUAD_EPSABS = 1e-12
+_QUAD_EPSREL = 1e-10
+_QUAD_LIMIT = 200
 
 __all__ = [
     "NetworkParams",
     "DerivedConstants",
     "db_to_linear",
     "derive_constants",
-    "active_density",
     "conditional_hit_probability",
     "hit_probability",
     "secrecy_probability_exact",
@@ -138,20 +148,6 @@ def derive_constants(params, gamma):
     )
 
 
-def active_density(p_i, params):
-    """Density of actual transmitters of a file cached with probability p_i.
-
-    Guard-zone muting thins the caching BSs by the void probability that no
-    eavesdropper lies within the guard radius. Computed inline everywhere so
-    a stale density can never be carried around.
-    """
-    return (
-        p_i
-        * params.bs_density
-        * math.exp(-params.eaves_density * math.pi * params.guard_radius**2)
-    )
-
-
 def conditional_hit_probability(p, params):
     """Hit probability of a file cached with probability p (scalar or array).
 
@@ -190,50 +186,53 @@ def secrecy_probability_lower_bound(p, params):
         return _like(p, 1.0 - numerator / (c.tau1 + c.tau2 / p))
 
 
-def secrecy_probability_exact(p, params, cfg=None):
+def secrecy_probability_exact(p, params):
     """Exact file secrecy probability via numerical integration (scalar or array).
 
-    One minus the integral over the wiretapped-transmitter distance r > D of
-    the eavesdropper's SIR-coverage kernel against the nearest-transmitter
-    distance density 2 pi lam_a r exp(-pi lam_a (r^2 - D^2)), integrated
-    over [D, inf) by the convergence-checked semi-infinite quadrature, one
-    quadrature per entry. 1 at p = 0.
+    One minus the probability that the eavesdropper's SIR reaches gamma_e,
+    integrated over the wiretapped-transmitter distance r > D against the
+    nearest-transmitter density 2 pi lam_a r exp(-pi lam_a (r^2 - D^2)), where
+    lam_a = p lambda exp(-lambda_e pi D^2) is the density of active
+    transmitters. In v = k pi lam_a (r^2 - D^2) that is
+    exp(-rate D^2) / k * int_0^inf exp(theta(v) - v) dv, theta being the
+    guard-zone 2F1 term; every entry with p > 0 is integrated by one
+    quad_vec call, which raises ConvergenceError past its error budget.
+    1 at p = 0.
     """
     p = _unit_interval(p, "p_i")
-    if cfg is None:
-        cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=200)
     c = derive_constants(params, params.gamma_e)
+    out = np.ones(p.shape)
+    cached = p > 0.0
+    if not np.any(cached):
+        return _like(p, out)
     lam = params.bs_density
-    d = params.guard_radius
-    alpha = params.alpha
-    gamma_e = params.gamma_e
+    d2 = params.guard_radius**2
+    lam_a = p[cached] * lam * math.exp(-params.eaves_density * math.pi * d2)
+    # Interference from non-caching BSs, muted caching BSs and active ones.
+    rate = math.pi * ((lam - lam_a) * c.kappa1 + lam_a * c.kappa2)
+    k = 1.0 + rate / (math.pi * lam_a)
+    half_alpha = params.alpha / 2.0
 
-    def secrecy(p_i):
-        if p_i == 0.0:
-            return 1.0
-        lam_a = active_density(p_i, params)
-        lam_rest = lam - lam_a  # non-caching BSs plus muted caching BSs
-        rate = math.pi * (lam_rest * c.kappa1 + lam_a * c.kappa2)
+    def integrand(v):
+        theta = np.zeros_like(lam_a)
+        if d2 > 0.0:
+            r2 = d2 + v / (k * math.pi * lam_a)
+            z = -((d2 / r2) ** half_alpha) / params.gamma_e
+            theta = -math.pi * lam_a * d2 * hyp2f1_1b(c.delta, z)
+        return np.exp(theta - v)
 
-        def integrand(r):
-            theta = (
-                -math.pi
-                * lam_a
-                * d**2
-                * hyp2f1_1b(c.delta, -((d / r) ** alpha) / gamma_e)
-                if d > 0
-                else 0.0
-            )
-            density = (
-                2.0 * math.pi * lam_a * r * math.exp(-math.pi * lam_a * (r**2 - d**2))
-            )
-            return math.exp(-rate * r**2 + theta) * density
-
-        value = integrate_semi_infinite(integrand, d, cfg)
-        return min(1.0, max(0.0, 1.0 - value))
-
-    values = [secrecy(p_i) for p_i in p.ravel().tolist()]
-    return _like(p, np.reshape(values, p.shape))
+    value, abserr, info = integrate.quad_vec(
+        integrand, 0.0, math.inf, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
+        limit=_QUAD_LIMIT, norm="max", full_output=True,
+    )
+    out[cached] = np.clip(1.0 - value * np.exp(-rate * d2) / k, 0.0, 1.0)
+    if info.status != 0:
+        raise ConvergenceError(
+            f"secrecy quadrature failed to converge: {info.message}",
+            _like(p, out),
+            abserr,
+        )
+    return _like(p, out)
 
 
 def placement_cap(eps, params):

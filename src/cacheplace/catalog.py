@@ -1,7 +1,7 @@
 """File population model: Zipf popularity, per-file secrecy levels, cache budget."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class FileCatalog:
     popularity: np.ndarray
     secrecy_levels: np.ndarray
     cache_size: int
-    allow_unit_levels: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "popularity", np.asarray(self.popularity, float))
@@ -71,12 +70,10 @@ class FileCatalog:
             raise CatalogError("popularity must sum to 1 within 1e-12")
         if np.any(self.secrecy_levels < 0):
             raise CatalogError("secrecy_levels must be >= 0")
-        if np.any(self.secrecy_levels > 1.0):
-            raise CatalogError("secrecy_levels must not exceed 1")
-        if not self.allow_unit_levels and np.any(self.secrecy_levels >= 1.0):
+        if np.any(self.secrecy_levels >= 1.0):
             raise CatalogError(
                 "secrecy_levels must lie in [0, 1); a level of 1 forces a zero "
-                "caching probability and requires allow_unit_levels=True"
+                "caching probability"
             )
         if self.cache_size < 1:
             raise CatalogError(f"cache_size must be >= 1, got {self.cache_size}")
@@ -88,31 +85,8 @@ class FileCatalog:
         self.popularity.flags.writeable = False
         self.secrecy_levels.flags.writeable = False
 
-    def to_json_dict(self):
-        """Serialize to the documented JSON schema {F, beta, epsilon, C}."""
-        return {
-            "F": self.file_count,
-            "beta": self.beta,
-            "epsilon": [float(e) for e in self.secrecy_levels],
-            "C": self.cache_size,
-        }
 
-    @classmethod
-    def from_json_dict(cls, doc, allow_unit_levels=False):
-        """Rebuild a catalog from the {F, beta, epsilon, C} JSON schema."""
-        try:
-            file_count = int(doc["F"])
-            beta = float(doc["beta"])
-            epsilon = doc["epsilon"]
-            cache_size = int(doc["C"])
-        except KeyError as exc:
-            raise CatalogError(f"catalog document is missing key {exc}") from exc
-        return make_catalog(
-            file_count, beta, epsilon, cache_size, allow_unit_levels=allow_unit_levels
-        )
-
-
-def make_catalog(file_count, beta, secrecy_levels, cache_size, allow_unit_levels=False):
+def make_catalog(file_count, beta, secrecy_levels, cache_size):
     """Build a validated catalog with Zipf popularity attached."""
     return FileCatalog(
         file_count=file_count,
@@ -120,7 +94,6 @@ def make_catalog(file_count, beta, secrecy_levels, cache_size, allow_unit_levels
         popularity=zipf_popularity(file_count, beta),
         secrecy_levels=secrecy_levels,
         cache_size=cache_size,
-        allow_unit_levels=allow_unit_levels,
     )
 
 

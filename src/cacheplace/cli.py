@@ -482,6 +482,8 @@ def run_validate(spec):
     )
     hit_tol = _number(settings.get("hit_tol", 0.01), "validate.hit_tol")
     secrecy_tol = _number(settings.get("secrecy_tol", 0.015), "validate.secrecy_tol")
+    if not hit_grid and not secrecy_grid:
+        raise SpecError("validate.hit_p and validate.secrecy_p are both empty")
     params = spec.params
 
     hit = zip(

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from cacheplace.analytic import (
     NetworkParams,
@@ -30,7 +31,7 @@ from cacheplace.catalog import (
 from cacheplace.cli import main
 from cacheplace.optimizer import lcc_placement, mpc_placement, solve_ocp
 from cacheplace.simulator import SimConfig, simulate_file_secrecy, simulate_hit
-from cacheplace.special import QuadratureConfig, beta, hyp2f1_1b, integrate_semi_infinite
+from cacheplace.special import beta, hyp2f1_1b
 
 BS_DENSITY = 1.0 / 800.0**2
 TRIALS = 100_000
@@ -292,20 +293,27 @@ def test_criterion_8_special_function_identities():
             ok = False
         if abs(hyp2f1_1b(1.0, -x) - math.log1p(x) / x) > 1e-9:
             ok = False
-    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=400)
+
+    def oracle(lower):
+        # 2 * int_lower^inf (1 - 1/(1 + gamma x^-alpha)) x dx
+        return 2.0 * integrate.quad(
+            lambda x: (1 - 1 / (1 + gamma * x ** (-alpha))) * x,
+            lower,
+            math.inf,
+            epsabs=1e-12,
+            epsrel=1e-9,
+            limit=400,
+        )[0]
+
     for alpha in [3.0, 4.0]:
         delta = 2.0 / alpha
         for gamma in [0.2, 1.0, 5.0]:
             kappa1 = delta * gamma**delta * beta(1 - delta, delta)
-            oracle1 = 2.0 * integrate_semi_infinite(
-                lambda x: (1 - 1 / (1 + gamma * x ** (-alpha))) * x, 0.0, cfg
-            )
+            oracle1 = oracle(0.0)
             if abs(kappa1 - oracle1) > 1e-8 * abs(oracle1):
                 ok = False
             kappa2 = (delta * gamma / (1 - delta)) * hyp2f1_1b(1 - delta, -gamma)
-            oracle2 = 2.0 * integrate_semi_infinite(
-                lambda z: (1 - 1 / (1 + gamma * z ** (-alpha))) * z, 1.0, cfg
-            )
+            oracle2 = oracle(1.0)
             if abs(kappa2 - oracle2) > 1e-8 * abs(oracle2):
                 ok = False
     report(8, "special-function identities and quadrature oracles", ok)

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
+from cacheplace import analytic
 from cacheplace.analytic import (
     NetworkParams,
     conditional_hit_probability,
@@ -16,7 +18,7 @@ from cacheplace.analytic import (
     secrecy_probability_lower_bound,
 )
 from cacheplace.catalog import PlacementPolicy, make_catalog
-from cacheplace.special import QuadratureConfig, integrate_semi_infinite
+from cacheplace.special import ConvergenceError
 
 BS_DENSITY = 1.0 / 800.0**2
 
@@ -87,14 +89,18 @@ class TestDeriveConstants:
 
     def test_kappa2_quadrature_oracle(self):
         # kappa2(gamma) = 2 * int_1^inf (1 - 1/(1 + gamma z^-alpha)) z dz.
-        cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=400)
         for alpha in [3.0, 4.0, 5.0]:
             for gamma in [0.2, 1.0, 3.0]:
                 params = default_params(alpha=alpha)
                 c = derive_constants(params, gamma)
-                oracle = 2.0 * integrate_semi_infinite(
-                    lambda z: (1 - 1 / (1 + gamma * z ** (-alpha))) * z, 1.0, cfg
-                )
+                oracle = 2.0 * integrate.quad(
+                    lambda z: (1 - 1 / (1 + gamma * z ** (-alpha))) * z,
+                    1.0,
+                    math.inf,
+                    epsabs=1e-12,
+                    epsrel=1e-9,
+                    limit=400,
+                )[0]
                 assert c.kappa2 == pytest.approx(oracle, rel=1e-8)
 
     def test_guard_zone_enters_tau2(self):
@@ -204,6 +210,33 @@ class TestHitProbability:
         assert all(v2 < v1 for v1, v2 in zip(values, values[1:]))
 
 
+def secrecy_exact_reference(p_i, params):
+    """One minus the per-entry r-domain integral, an oracle independent of quad_vec.
+
+    Integrates the eavesdropper's coverage kernel against the
+    nearest-transmitter distance density 2 pi lam_a r exp(-pi lam_a (r^2 - D^2))
+    over r in [D, inf), one scipy quad per entry, with scipy's 2F1.
+    """
+    if p_i == 0.0:
+        return 1.0
+    c = derive_constants(params, params.gamma_e)
+    lam = params.bs_density
+    d = params.guard_radius
+    lam_a = p_i * lam * math.exp(-params.eaves_density * math.pi * d**2)
+    rate = math.pi * ((lam - lam_a) * c.kappa1 + lam_a * c.kappa2)
+
+    def integrand(r):
+        theta = 0.0
+        if d > 0:
+            z = -((d / r) ** params.alpha) / params.gamma_e
+            theta = -math.pi * lam_a * d**2 * special.hyp2f1(1, c.delta, 1 + c.delta, z)
+        density = 2.0 * math.pi * lam_a * r * math.exp(-math.pi * lam_a * (r**2 - d**2))
+        return math.exp(-rate * r**2 + theta) * density
+
+    value = integrate.quad(integrand, d, math.inf, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
+    return min(1.0, max(0.0, 1.0 - value))
+
+
 class TestSecrecyProbability:
     def test_never_cached_is_safe(self):
         params = default_params()
@@ -266,6 +299,34 @@ class TestSecrecyProbability:
         ]
         assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("alpha", [2.2, 3.0, 4.0])
+    @pytest.mark.parametrize("guard_radius", [0.0, 50.0, 200.0, 1000.0, 3000.0, 5000.0])
+    def test_exact_matches_r_domain_reference(self, alpha, guard_radius):
+        p = np.array([0.0, 1e-9, 1e-6, 1e-3, 0.05, 0.2, 0.5, 0.8, 1.0])
+        for gamma_e_db in [-30.0, -7.0, 0.0, 20.0, 40.0, 70.0]:
+            params = default_params(
+                alpha=alpha, guard_radius=guard_radius, gamma_e=db_to_linear(gamma_e_db)
+            )
+            reference = [secrecy_exact_reference(float(p_i), params) for p_i in p]
+            assert secrecy_probability_exact(p, params) == pytest.approx(
+                reference, abs=1e-12
+            )
+
+    def test_exact_raises_when_quadrature_fails(self, monkeypatch):
+        quad_vec = integrate.quad_vec
+
+        def failing(f, a, b, **kwargs):
+            value, err, info = quad_vec(f, a, b, **kwargs)
+            info.status, info.message = 1, "maximum number of subintervals reached"
+            return value, err, info
+
+        monkeypatch.setattr(analytic.integrate, "quad_vec", failing)
+        with pytest.raises(ConvergenceError) as excinfo:
+            secrecy_probability_exact(np.array([0.2, 0.5]), default_params())
+        assert excinfo.value.estimate.shape == (2,)
+        assert excinfo.value.error_bound >= 0
+        assert secrecy_probability_exact(0.0, default_params()) == 1.0
+
 
 class TestPlacementCap:
     def test_full_secrecy_forbids_caching(self):
@@ -303,7 +364,9 @@ class TestPlacementCap:
 
     def test_array_matches_scalar(self):
         # The cap and both secrecy maps take a scalar (giving a float) or an
-        # array of values in [0, 1], entry by entry bit for bit.
+        # array of values in [0, 1]. The cap and the lower bound agree entry
+        # by entry bit for bit; the exact map integrates a whole array on one
+        # adaptive mesh, so it agrees to rounding and repeats exactly.
         params = default_params()
         levels = np.array([0.0, 0.01, 0.2, 0.5, 0.9, 1.0])
         for unit_map in (
@@ -315,7 +378,11 @@ class TestPlacementCap:
             assert isinstance(values, np.ndarray)
             scalars = [unit_map(float(e), params) for e in levels]
             assert all(type(v) is float for v in scalars)
-            assert values.tolist() == scalars
+            if unit_map is secrecy_probability_exact:
+                assert values == pytest.approx(scalars, abs=1e-13, rel=0)
+                assert values.tolist() == unit_map(levels, params).tolist()
+            else:
+                assert values.tolist() == scalars
             assert unit_map(levels.reshape(2, 3), params).tolist() == (
                 values.reshape(2, 3).tolist()
             )

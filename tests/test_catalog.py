@@ -7,7 +7,6 @@ import pytest
 
 from cacheplace.catalog import (
     CatalogError,
-    FileCatalog,
     PlacementPolicy,
     make_catalog,
     sample_secrecy_levels,
@@ -88,8 +87,6 @@ class TestMakeCatalog:
         eps = [0.0, 1.0, 0.5, 0.1]
         with pytest.raises(CatalogError):
             make_catalog(4, 0.7, eps, 2)
-        cat = make_catalog(4, 0.7, eps, 2, allow_unit_levels=True)
-        assert cat.secrecy_levels[1] == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(CatalogError):
@@ -99,20 +96,6 @@ class TestMakeCatalog:
         cat = make_catalog(5, 0.7, [0.1] * 5, 2)
         with pytest.raises(ValueError):
             cat.popularity[0] = 0.9
-
-    def test_json_round_trip(self):
-        cat = make_catalog(6, 1.1, [0.1, 0.2, 0.3, 0.0, 0.5, 0.25], 3)
-        doc = cat.to_json_dict()
-        assert set(doc) == {"F", "beta", "epsilon", "C"}
-        back = FileCatalog.from_json_dict(doc)
-        assert back.file_count == cat.file_count
-        assert back.cache_size == cat.cache_size
-        assert np.allclose(back.popularity, cat.popularity)
-        assert np.allclose(back.secrecy_levels, cat.secrecy_levels)
-
-    def test_json_missing_key(self):
-        with pytest.raises(CatalogError, match="missing"):
-            FileCatalog.from_json_dict({"F": 4, "beta": 1.0, "C": 2})
 
 
 class TestSampleSecrecyLevels:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad_vec
 
 from cacheplace.cli import (
     CSV_COLUMNS,
@@ -318,6 +319,21 @@ class TestValidateCommand:
         config = write_config(tmp_path, {"catalog": SMALL_CATALOG})
         assert main(["validate", "--config", config, "--no-sim"]) == 2
 
+    def test_empty_grids_exit_2(self, tmp_path, capsys):
+        # A report that compares no estimate is not a pass.
+        config = write_config(
+            tmp_path,
+            {
+                "catalog": SMALL_CATALOG,
+                "sim": {"trials": 5},
+                "validate": {"hit_p": [], "secrecy_p": []},
+            },
+        )
+        out = str(tmp_path / "validate.csv")
+        assert main(["validate", "--config", config, "--out", out]) == 2
+        assert "both empty" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestSolveCommand:
     def test_json_output(self, tmp_path, capsys):
@@ -483,6 +499,13 @@ class TestTypedConfig:
         assert main(["solve", "--config", config]) == 2
         assert "catalog.json.F must be an integer" in capsys.readouterr().err
 
+    def test_catalog_file_missing_key_exits_2(self, tmp_path, capsys):
+        (tmp_path / "catalog.json").write_text(json.dumps({"F": 4, "beta": 1.0, "C": 2}))
+        config = write_config(tmp_path, {"catalog": {"source": "file",
+                                                     "path": "catalog.json"}})
+        assert main(["solve", "--config", config]) == 2
+        assert "is missing key 'epsilon'" in capsys.readouterr().err
+
     def test_non_convergence_exits_2(self, tmp_path, capsys, monkeypatch):
         def over_budget(*args, **kwargs):
             raise ConvergenceError("quadrature error over budget", 0.5, 1e-3)
@@ -490,6 +513,22 @@ class TestTypedConfig:
         monkeypatch.setattr("cacheplace.cli.solve_ocp", over_budget)
         config = write_config(tmp_path, {"catalog": SMALL_CATALOG})
         assert main(["solve", "--config", config]) == 2
+        assert "error: ConvergenceError" in capsys.readouterr().err
+
+    def test_secrecy_quadrature_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        def failing(f, a, b, **kwargs):
+            value, err, info = quad_vec(f, a, b, **kwargs)
+            info.status, info.message = 1, "maximum number of subintervals reached"
+            return value, err, info
+
+        monkeypatch.setattr("cacheplace.analytic.integrate.quad_vec", failing)
+        config = write_config(
+            tmp_path,
+            {"catalog": SMALL_CATALOG,
+             "sweep": {"variable": "gamma_e", "values": [-7.0]}},
+        )
+        out = str(tmp_path / "out.csv")
+        assert main(["sweep", "--config", config, "--out", out, "--no-sim"]) == 2
         assert "error: ConvergenceError" in capsys.readouterr().err
 
     def test_overflow_exits_2(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Tests for the beta function, hypergeometric family, and quadrature."""
+"""Tests for the beta function and the hypergeometric family."""
 
 import math
 
@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cacheplace.special import (
-    ConvergenceError,
-    QuadratureConfig,
-    beta,
-    hyp2f1_1b,
-    integrate_semi_infinite,
-)
+from cacheplace.special import beta, hyp2f1_1b
 
 
 def beta_quadrature_oracle(a, b):
@@ -72,74 +66,24 @@ class TestHyp2f1:
             assert all(v1 < v2 for v1, v2 in zip(values, values[1:]))
             assert all(0 < v <= 1 for v in values)
 
+    def test_array_matches_scalar(self):
+        z = np.array([[-1e4, -3.0, -0.5], [-1e-3, 0.0, -20.0]])
+        values = hyp2f1_1b(2.0 / 3.0, z)
+        assert isinstance(values, np.ndarray) and values.shape == z.shape
+        assert values.tolist() == [[hyp2f1_1b(2.0 / 3.0, x) for x in row] for row in z]
+        assert type(hyp2f1_1b(0.5, -2.0)) is float
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             hyp2f1_1b(0.5, 0.5)
         with pytest.raises(ValueError):
+            hyp2f1_1b(0.5, np.array([-1.0, 0.5]))
+        with pytest.raises(ValueError):
+            hyp2f1_1b(0.5, math.nan)
+        with pytest.raises(ValueError):
             hyp2f1_1b(0.0, -1.0)
         with pytest.raises(ValueError):
             hyp2f1_1b(1.5, -1.0)
-
-
-class TestQuadratureConfig:
-    def test_defaults(self):
-        cfg = QuadratureConfig()
-        assert cfg.rel_tol == 1e-10
-        assert cfg.abs_tol == 1e-14
-        assert cfg.max_subdivisions == 200
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rel_tol": 0.0},
-            {"rel_tol": -1e-3},
-            {"abs_tol": 0.0},
-            {"max_subdivisions": 0},
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureConfig(**kwargs)
-
-
-class TestIntegrateSemiInfinite:
-    def test_exponential(self):
-        assert integrate_semi_infinite(lambda x: math.exp(-x), 0) == pytest.approx(
-            1.0, rel=1e-10
-        )
-
-    def test_nearest_transmitter_density_normalizes(self):
-        lam = 1.0 / 800.0**2
-        d = 200.0
-        result = integrate_semi_infinite(
-            lambda r: 2 * math.pi * lam * r * math.exp(-math.pi * lam * (r**2 - d**2)),
-            d,
-        )
-        assert result == pytest.approx(1.0, rel=1e-10)
-
-    def test_lorentzian(self):
-        assert integrate_semi_infinite(lambda x: 1 / (1 + x * x), 0) == pytest.approx(
-            math.pi / 2, rel=1e-10
-        )
-
-    def test_deterministic(self):
-        f = lambda x: math.exp(-0.3 * x) * math.cos(x)
-        assert integrate_semi_infinite(f, 1.0) == integrate_semi_infinite(f, 1.0)
-
-    def test_monotone_in_integrand(self):
-        cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)
-        f = lambda x: math.exp(-x)
-        g = lambda x: math.exp(-x) * (1 + 1 / (1 + x * x))
-        rf = integrate_semi_infinite(f, 0, cfg)
-        rg = integrate_semi_infinite(g, 0, cfg)
-        assert rf <= rg + cfg.abs_tol
-
-    def test_budget_exhaustion_raises_with_estimate(self):
-        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=2)
-        with pytest.raises(ConvergenceError) as excinfo:
-            integrate_semi_infinite(lambda x: math.sin(x) / (1 + x), 0, cfg)
-        assert math.isfinite(excinfo.value.estimate)
-        assert excinfo.value.error_bound > 0
 
 
 def test_kappa1_matches_quadrature_oracle():
@@ -151,9 +95,12 @@ def test_kappa1_matches_quadrature_oracle():
         delta = 2.0 / alpha
         for gamma in [0.1, 10 ** (-0.5), 1.0, 5.0]:
             kappa1 = delta * gamma**delta * beta(1 - delta, delta)
-            oracle = 2.0 * integrate_semi_infinite(
+            oracle = 2.0 * integrate.quad(
                 lambda x: (1 - 1 / (1 + gamma * x ** (-alpha))) * x,
                 0,
-                QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=400),
-            )
+                math.inf,
+                epsabs=1e-12,
+                epsrel=1e-9,
+                limit=400,
+            )[0]
             assert kappa1 == pytest.approx(oracle, rel=1e-8)
