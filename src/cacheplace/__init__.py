@@ -32,13 +32,11 @@ from .optimizer import (
     solve_ocp,
 )
 from .simulator import (
-    HitSimResult,
     SimConfig,
     SimEstimate,
     simulate_file_hit,
     simulate_file_secrecy,
-    simulate_hit,
 )
-from .special import ConvergenceError, beta, hyp2f1_1b
+from .special import ConvergenceError, hyp2f1_1b
 
 __version__ = "0.1.0"

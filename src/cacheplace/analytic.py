@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy import integrate
 
-from .special import ConvergenceError, beta, hyp2f1_1b
+from .special import ConvergenceError, hyp2f1_1b
 
 # Tolerances of the exact-secrecy quadrature, in the max norm over files.
 _QUAD_EPSABS = 1e-12
@@ -130,7 +130,9 @@ def derive_constants(params, gamma):
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     delta = params.delta
-    kappa1 = delta * gamma**delta * beta(1.0 - delta, delta)
+    # delta gamma^delta B(1 - delta, delta), with B(1 - delta, delta) =
+    # pi / sin(pi delta) by Euler's reflection formula.
+    kappa1 = delta * gamma**delta * math.pi / math.sin(math.pi * (1.0 - delta))
     kappa2 = (delta * gamma / (1.0 - delta)) * hyp2f1_1b(1.0 - delta, -gamma)
     tau1 = 1.0 + kappa2 - kappa1
     exponent = math.pi * params.eaves_density * params.guard_radius**2

@@ -34,7 +34,7 @@ from .analytic import (
 )
 from .catalog import FileCatalog, PlacementPolicy, make_catalog, sample_secrecy_levels
 from .optimizer import lcc_placement, mpc_placement, placement_caps, solve_ocp
-from .simulator import SimConfig, simulate_file_hit, simulate_file_secrecy, simulate_hit
+from .simulator import SimConfig, SimEstimate, simulate_file_hit, simulate_file_secrecy
 from .special import ConvergenceError
 
 CSV_COLUMNS = [
@@ -100,8 +100,8 @@ class ExperimentSpec:
             },
             "catalog": {
                 **self.catalog_doc,
-                "epsilon": [float(e) for e in self.catalog.secrecy_levels],
-                "popularity": [float(q) for q in self.catalog.popularity],
+                "epsilon": self.catalog.secrecy_levels.tolist(),
+                "popularity": self.catalog.popularity.tolist(),
             },
             "sweep": (
                 {"variable": self.sweep_var, "values": list(self.sweep_values)}
@@ -110,7 +110,7 @@ class ExperimentSpec:
             ),
             "schemes": list(self.schemes),
             "fixed_policy": (
-                [float(p) for p in self.fixed_policy]
+                self.fixed_policy.tolist()
                 if self.fixed_policy is not None
                 else None
             ),
@@ -308,6 +308,16 @@ def _sim_config(spec, *path):
     return SimConfig(trials=spec.sim.trials, seed=seed)
 
 
+def _simulated(spec, p, params, *path):
+    """Per-file (hit, secrecy) estimates at p seeded from (*path, 0 | 1), or Nones."""
+    if spec.sim is None:
+        return None, None
+    return (
+        simulate_file_hit(p, params, _sim_config(spec, *path, 0)),
+        simulate_file_secrecy(p, params, _sim_config(spec, *path, 1)),
+    )
+
+
 def _point_params(spec, value):
     if spec.sweep_var == "D":
         return replace(spec.params, guard_radius=value)
@@ -365,10 +375,7 @@ def _p_i_rows(spec):
     per simulator.
     """
     p = np.asarray(spec.sweep_values)
-    hit = secrecy = None
-    if spec.sim is not None:
-        hit = simulate_file_hit(p, spec.params, _sim_config(spec, 0, 0, 0))
-        secrecy = simulate_file_secrecy(p, spec.params, _sim_config(spec, 0, 0, 1))
+    hit, secrecy = _simulated(spec, p, spec.params, 0, 0)
     return _rows(
         {
             "sweep_var": "p_i",
@@ -385,23 +392,18 @@ def _scheme_rows(spec, point_idx, value, scheme_idx, catalog, params, caps):
     """Per-file rows of one (point, scheme), then its aggregate row (file 0)."""
     scheme = spec.schemes[scheme_idx]
     policy = _scheme_policy(scheme, catalog, params, caps, spec.fixed_policy)
-    hit = secrecy = None
-    if spec.sim is not None:
-        hit = simulate_hit(
-            policy, catalog, params, _sim_config(spec, point_idx, scheme_idx, 0)
-        )
-        secrecy = simulate_file_secrecy(
-            policy.p, params, _sim_config(spec, point_idx, scheme_idx, 1)
-        )
+    hit, secrecy = _simulated(spec, policy.p, params, point_idx, scheme_idx)
+    # The aggregate's simulated hit is the popularity-weighted per-file mean.
+    aggregate = None if hit is None else SimEstimate.from_mean(
+        np.dot(catalog.popularity, [e.estimate for e in hit]), spec.sim.trials
+    )
     point = {"sweep_var": spec.sweep_var, "sweep_value": value, "scheme": scheme}
     rows = _rows(
         {
             **point,
             "file_index": list(range(1, catalog.file_count + 1)),
             "psi_cap": caps.tolist(),
-            **_file_columns(
-                policy.p, params, hit.per_file if hit else None, secrecy
-            ),
+            **_file_columns(policy.p, params, hit, secrecy),
         }
     )
     rows.append(
@@ -412,8 +414,8 @@ def _scheme_rows(spec, point_idx, value, scheme_idx, catalog, params, caps):
             "p_star": float(policy.p.sum()),
             "psi_cap": float(caps.sum()),
             "hit_analytic": hit_probability(policy, catalog, params),
-            "hit_sim": hit.aggregate.estimate if hit else None,
-            "hit_ci": hit.aggregate.ci95_halfwidth if hit else None,
+            "hit_sim": aggregate.estimate if aggregate else None,
+            "hit_ci": aggregate.ci95_halfwidth if aggregate else None,
         }
     )
     return rows
@@ -533,8 +535,8 @@ def run_solve(spec):
     mpc = mpc_placement(spec.catalog, spec.params, solution.caps)
     lcc = lcc_placement(spec.catalog, spec.params, solution.caps)
     return {
-        "p_star": [float(v) for v in solution.policy.p],
-        "caps": [float(v) for v in solution.caps],
+        "p_star": solution.policy.p.tolist(),
+        "caps": solution.caps.tolist(),
         "dual": solution.dual,
         "active_set": list(solution.active_set),
         "objective": solution.objective,

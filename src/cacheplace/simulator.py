@@ -1,11 +1,15 @@
 """Monte Carlo ground truth for hit and secrecy probabilities.
 
+The public surface is SimConfig(trials, seed), SimEstimate and the per-file
+simulators simulate_file_hit and simulate_file_secrecy; a caller weights
+the per-file estimates itself for an aggregate.
+
 Each trial samples one realization of the base-station and eavesdropper
-point processes in a finite window, applies the exact guard-zone rule (a BS
-switches to artificial noise whenever any eavesdropper lies within the guard
-radius of it, unlike the independent-thinning approximation the closed forms
-use), draws unit-mean exponential fades, and tests the SIR event at the
-origin.
+point processes in a window sized from the network parameters alone (see
+_window_radius), applies the exact guard-zone rule (a BS switches to
+artificial noise whenever any eavesdropper lies within the guard radius of
+it, unlike the independent-thinning approximation the closed forms use),
+draws unit-mean exponential fades, and tests the SIR event at the origin.
 
 Trials run in blocks of rows, one trial per row; each block has its own
 generator, keyed on (seed, block index), so results depend only on the seed
@@ -39,8 +43,6 @@ import numpy as np
 __all__ = [
     "SimConfig",
     "SimEstimate",
-    "HitSimResult",
-    "simulate_hit",
     "simulate_file_hit",
     "simulate_file_secrecy",
 ]
@@ -65,16 +67,10 @@ class SimulationConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Trial count, seed, and observation-window sizing.
-
-    window_radius=None picks a radius automatically so the expected number
-    of base stations in the window is at least _MIN_EXPECTED_BS and the
-    radius covers at least ten mean nearest-neighbor distances.
-    """
+    """Trial count and seed; the window is sized from the network parameters."""
 
     trials: int = 10_000
     seed: int = 0
-    window_radius: float | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -98,28 +94,18 @@ class SimEstimate:
         return cls(estimate=mean, trials=trials, ci95_halfwidth=half)
 
 
-@dataclass(frozen=True)
-class HitSimResult:
-    """Per-file hit estimates plus the popularity-weighted aggregate."""
+def _window_radius(params):
+    """Radius of the observation disk, from the network parameters alone.
 
-    per_file: tuple
-    aggregate: SimEstimate
-
-
-def _window_radius(params, cfg):
-    if cfg.window_radius is not None:
-        if cfg.window_radius <= params.guard_radius:
-            raise SimulationConfigError(
-                f"window_radius {cfg.window_radius} must exceed the guard radius "
-                f"{params.guard_radius}"
-            )
-        radius = float(cfg.window_radius)
-    else:
-        by_count = math.sqrt(_MIN_EXPECTED_BS / (math.pi * params.bs_density))
-        by_spacing = 10.0 / (2.0 * math.sqrt(params.bs_density))
-        radius = max(by_count, by_spacing)
-        if radius <= params.guard_radius:
-            radius = 2.0 * params.guard_radius
+    Room for _MIN_EXPECTED_BS base stations and ten mean nearest-neighbor
+    distances, or twice the guard radius if that is not beyond it; a trial
+    must fit in _MAX_POINTS_PER_TRIAL expected points.
+    """
+    by_count = math.sqrt(_MIN_EXPECTED_BS / (math.pi * params.bs_density))
+    by_spacing = 10.0 / (2.0 * math.sqrt(params.bs_density))
+    radius = max(by_count, by_spacing)
+    if radius <= params.guard_radius:
+        radius = 2.0 * params.guard_radius
     points = sum(_expected_points(params, radius))
     if not points <= _MAX_POINTS_PER_TRIAL:
         raise SimulationConfigError(
@@ -247,7 +233,7 @@ def _success_counts(p, params, cfg, exclusion_radius, threshold):
     Every file of a trial is resolved from the same scene. A call where no
     file is ever cached draws no scene.
     """
-    radius = _window_radius(params, cfg)
+    radius = _window_radius(params)
     files = np.argsort(p, kind="stable")
     files = files[p[files] > 0.0]
     counts = np.zeros(len(p))
@@ -291,24 +277,6 @@ def simulate_file_hit(p, params, cfg):
     """
     hits = _success_counts(_file_probabilities(p), params, cfg, None, params.gamma_u)
     return _estimates(hits, cfg.trials)
-
-
-def simulate_hit(policy, catalog, params, cfg):
-    """Per-file hit estimates of a placement and their popularity-weighted mean.
-
-    The per-file estimates are those of simulate_file_hit at policy.p.
-    """
-    p = np.asarray(policy.p, float)
-    if len(p) != catalog.file_count:
-        raise ValueError(
-            f"policy length {len(p)} does not match catalog size {catalog.file_count}"
-        )
-    hits = _success_counts(p, params, cfg, None, params.gamma_u)
-    aggregate_mean = float(np.dot(catalog.popularity, hits) / cfg.trials)
-    return HitSimResult(
-        per_file=_estimates(hits, cfg.trials),
-        aggregate=SimEstimate.from_mean(aggregate_mean, cfg.trials),
-    )
 
 
 def simulate_file_secrecy(p, params, cfg):

@@ -1,19 +1,16 @@
 """Special functions underlying the closed-form network formulas.
 
-Everything here is a pure function: the beta function and the one-parameter
-family of Gauss hypergeometric functions 2F1(1, b; b+1; z) that the coverage
-and secrecy expressions need. ConvergenceError is the error a quadrature
-over its error budget raises.
+Everything here is a pure function: the one-parameter family of Gauss
+hypergeometric functions 2F1(1, b; b+1; z) that the coverage and secrecy
+expressions need. ConvergenceError is the error a quadrature over its error
+budget raises.
 """
-
-import math
 
 import numpy as np
 from scipy import special
 
 __all__ = [
     "ConvergenceError",
-    "beta",
     "hyp2f1_1b",
 ]
 
@@ -28,17 +25,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-def beta(a, b):
-    """Euler beta function B(a, b) for a, b > 0.
-
-    Evaluated through log-gamma so fractional and moderately large arguments
-    do not overflow. Symmetric in its arguments.
-    """
-    if not a > 0 or not b > 0:
-        raise ValueError(f"beta requires positive arguments, got a={a}, b={b}")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def hyp2f1_1b(b, z):

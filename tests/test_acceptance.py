@@ -24,14 +24,13 @@ from cacheplace.analytic import (
 )
 from cacheplace.catalog import (
     FileCatalog,
-    PlacementPolicy,
     make_catalog,
     sample_secrecy_levels,
 )
 from cacheplace.cli import main
 from cacheplace.optimizer import lcc_placement, mpc_placement, solve_ocp
-from cacheplace.simulator import SimConfig, simulate_file_secrecy, simulate_hit
-from cacheplace.special import beta, hyp2f1_1b
+from cacheplace.simulator import SimConfig, simulate_file_hit, simulate_file_secrecy
+from cacheplace.special import hyp2f1_1b
 
 BS_DENSITY = 1.0 / 800.0**2
 TRIALS = 100_000
@@ -60,18 +59,12 @@ def report(number, title, ok, detail=""):
 def test_criterion_1_hit_probability_matches_simulation():
     """Per-file closed-form hit probability vs Monte Carlo at 1e5 trials."""
     params = reference_params()
-    catalog = make_catalog(10, 0.7, [0.0] * 10, 5)
     worst = 0.0
     ok = True
     for k, p in enumerate([0.2, 0.5, 1.0]):
         analytic = conditional_hit_probability(p, params)
-        result = simulate_hit(
-            PlacementPolicy.uniform(10, p),
-            catalog,
-            params,
-            SimConfig(trials=TRIALS, seed=100 + k),
-        )
-        for est in result.per_file:
+        cfg = SimConfig(trials=TRIALS, seed=100 + k)
+        for est in simulate_file_hit([p] * 10, params, cfg):
             gap = abs(analytic - est.estimate)
             worst = max(worst, gap)
             if gap > max(est.ci95_halfwidth, 0.01):
@@ -122,13 +115,8 @@ def test_criterion_3_classical_coverage_cross_check():
     expected = 1.0 / (1.0 + math.pi / 4.0)
     analytic = conditional_hit_probability(1.0, params)
     analytic_ok = abs(analytic - expected) <= 1e-10
-    # A one-file catalog is a degenerate cache (C < F is required), so the
-    # single always-cached file rides in a two-file catalog with p = (1, 0).
-    catalog = make_catalog(2, 0.7, [0.0, 0.0], 1)
-    policy = PlacementPolicy(np.array([1.0, 0.0]), cache_size=1)
-    est = simulate_hit(
-        policy, catalog, params, SimConfig(trials=TRIALS, seed=300)
-    ).per_file[0]
+    # The always-cached file rides with a never-cached one, p = (1, 0).
+    est = simulate_file_hit([1.0, 0.0], params, SimConfig(trials=TRIALS, seed=300))[0]
     sim_ok = abs(est.estimate - expected) <= est.ci95_halfwidth
     ok = analytic_ok and sim_ok
     report(
@@ -286,7 +274,9 @@ def test_criterion_7_round_trip_cap_inversion():
 def test_criterion_8_special_function_identities():
     """Closed-form identities and quadrature oracles for the special functions."""
     ok = True
-    if abs(beta(0.5, 0.5) - math.pi) > 1e-9:
+    # delta = 1/2: kappa1(gamma = 1) = B(1/2, 1/2) / 2 = pi / 2.
+    kappa1 = derive_constants(reference_params(alpha=4.0), 1.0).kappa1
+    if abs(kappa1 - math.pi / 2) > 1e-9:
         ok = False
     for x in [0.25, 1.0, 3.0, 10.0]:
         if abs(hyp2f1_1b(0.5, -(x**2)) - math.atan(x) / x) > 1e-9:
@@ -308,7 +298,7 @@ def test_criterion_8_special_function_identities():
     for alpha in [3.0, 4.0]:
         delta = 2.0 / alpha
         for gamma in [0.2, 1.0, 5.0]:
-            kappa1 = delta * gamma**delta * beta(1 - delta, delta)
+            kappa1 = derive_constants(reference_params(alpha=alpha), gamma).kappa1
             oracle1 = oracle(0.0)
             if abs(kappa1 - oracle1) > 1e-8 * abs(oracle1):
                 ok = False

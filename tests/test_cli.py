@@ -223,6 +223,44 @@ class TestSweepCommand:
         # Every point comes from one scene set per simulator.
         assert calls == {"hit": [[0.2, 0.6, 1.0]], "secrecy": [[0.2, 0.6, 1.0]]}
 
+    def test_aggregate_row_is_popularity_weighted_mean(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            {
+                "catalog": SMALL_CATALOG,
+                "sweep": {"variable": "beta", "values": [0.3, 0.7, 1.2]},
+                "sim": {"trials": 200, "seed": 5},
+            },
+        )
+        out = str(tmp_path / "result.csv")
+        assert main(["sweep", "--config", config, "--out", out]) == 0
+        rows = read_csv(out)
+        sidecar = json.loads(open(out + ".spec.json").read())
+        trials = sidecar["sim"]["trials"]
+        ranks = np.arange(1, SMALL_CATALOG["F"] + 1)
+
+        def zipf(beta):
+            return ranks**-beta / np.sum(ranks**-beta)
+
+        # The sidecar holds the catalog's own popularity; a beta sweep
+        # re-weights it at each point.
+        assert sidecar["catalog"]["popularity"] == pytest.approx(
+            zipf(SMALL_CATALOG["beta"]).tolist(), abs=1e-12
+        )
+        # Each (point, scheme) is F per-file rows, then its aggregate row.
+        size = SMALL_CATALOG["F"] + 1
+        assert len(rows) == 3 * 3 * size
+        for start in range(0, len(rows), size):
+            block = rows[start:start + size]
+            assert [r["file_index"] for r in block] == ["1", "2", "3", "4", "0"]
+            *per_file, aggregate = block
+            mean = float(aggregate["hit_sim"])
+            q = zipf(float(aggregate["sweep_value"]))
+            weighted = float(np.dot(q, [float(r["hit_sim"]) for r in per_file]))
+            assert abs(mean - weighted) <= 1e-11
+            half = 1.96 * math.sqrt(mean * (1.0 - mean) / trials)
+            assert abs(float(aggregate["hit_ci"]) - half) <= 1e-11
+
     def test_sweep_requires_sweep_section(self, tmp_path):
         config = write_config(tmp_path, {"catalog": SMALL_CATALOG})
         out = str(tmp_path / "result.csv")

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from cacheplace import simulator
 from cacheplace.analytic import NetworkParams, conditional_hit_probability, db_to_linear
-from cacheplace.catalog import PlacementPolicy, make_catalog
 from cacheplace.simulator import (
     SimConfig,
     SimEstimate,
@@ -14,10 +14,8 @@ from cacheplace.simulator import (
     _block_rows,
     _draw_block,
     _scene_blocks,
-    _window_radius,
     simulate_file_hit,
     simulate_file_secrecy,
-    simulate_hit,
 )
 
 BS_DENSITY = 1.0 / 800.0**2
@@ -86,7 +84,7 @@ class TestBlockDraw:
 
     def test_blocks_are_keyed_on_seed_and_index(self):
         params = default_params()
-        radius = _window_radius(params, SimConfig(trials=1))
+        radius = simulator._window_radius(params)
         rows = _block_rows(params, radius)
         assert rows == 16  # 2^14 draws over 1000 expected BSs per trial
         whole = list(_scene_blocks(params, radius, 5, 2 * rows + 3))
@@ -111,11 +109,6 @@ class TestConfigAndEstimate:
         with pytest.raises(SimulationConfigError, match="fit in memory"):
             simulate_file_hit([0.5], params, SimConfig(trials=1))
 
-    def test_window_must_exceed_guard_radius(self):
-        cfg = SimConfig(trials=1, window_radius=100.0)
-        with pytest.raises(SimulationConfigError):
-            simulate_file_secrecy([0.5], default_params(), cfg)
-
     def test_estimate_halfwidth(self):
         est = SimEstimate.from_mean(0.5, 10_000)
         assert est.ci95_halfwidth == pytest.approx(1.96 * 0.005, rel=1e-12)
@@ -124,12 +117,8 @@ class TestConfigAndEstimate:
 
 class TestSimulateHit:
     def test_zero_policy_never_hits(self):
-        cat = make_catalog(3, 0.7, [0.0] * 3, 1)
-        result = simulate_hit(
-            PlacementPolicy.uniform(3, 0.0), cat, default_params(), SimConfig(trials=50)
-        )
-        assert result.aggregate.estimate == 0.0
-        assert all(e.estimate == 0.0 for e in result.per_file)
+        result = simulate_file_hit(np.zeros(3), default_params(), SimConfig(trials=50))
+        assert all(e.estimate == 0.0 for e in result)
 
     def test_classical_coverage_value(self):
         # One always-cached file, no eavesdroppers, alpha=4, gamma=1: the hit
@@ -137,63 +126,46 @@ class TestSimulateHit:
         params = default_params(
             alpha=4.0, eaves_density=0.0, guard_radius=0.0, gamma_u=1.0
         )
-        cat = make_catalog(2, 0.7, [0.0, 0.0], 1)
-        policy = PlacementPolicy(np.array([1.0, 0.0]), cache_size=1)
         cfg = SimConfig(trials=20_000, seed=42)
-        result = simulate_hit(policy, cat, params, cfg)
+        cached, uncached = simulate_file_hit([1.0, 0.0], params, cfg)
         expected = 1.0 / (1.0 + math.pi / 4.0)
-        assert abs(result.per_file[0].estimate - expected) <= max(
-            result.per_file[0].ci95_halfwidth, 0.01
-        )
-        assert result.per_file[1].estimate == 0.0
+        assert abs(cached.estimate - expected) <= max(cached.ci95_halfwidth, 0.01)
+        assert uncached.estimate == 0.0
 
     def test_matches_closed_form_with_guard_zones(self):
         params = default_params()
-        cat = make_catalog(2, 0.0, [0.0, 0.0], 1)
-        policy = PlacementPolicy(np.array([0.5, 0.5]), cache_size=1)
         cfg = SimConfig(trials=20_000, seed=5)
-        result = simulate_hit(policy, cat, params, cfg)
+        result = simulate_file_hit([0.5, 0.5], params, cfg)
         analytic = conditional_hit_probability(0.5, params)
-        for est in result.per_file:
+        for est in result:
             assert abs(est.estimate - analytic) <= max(est.ci95_halfwidth, 0.01)
 
     def test_monotone_in_placement_probability(self):
         # Common random numbers across runs with the same seed make the hit
         # indicator monotone in p trial by trial.
         params = default_params()
-        cat = make_catalog(2, 0.0, [0.0, 0.0], 1)
         cfg = SimConfig(trials=2_000, seed=13)
-        estimates = []
-        for p in [0.2, 0.5, 1.0]:
-            policy = PlacementPolicy(np.array([p, 0.0]))
-            estimates.append(
-                simulate_hit(policy, cat, params, cfg).per_file[0].estimate
-            )
+        estimates = [
+            simulate_file_hit([p, 0.0], params, cfg)[0].estimate
+            for p in [0.2, 0.5, 1.0]
+        ]
         assert estimates[0] <= estimates[1] <= estimates[2]
 
     def test_deterministic_for_fixed_seed(self):
         params = default_params()
-        cat = make_catalog(2, 0.7, [0.0, 0.0], 1)
-        policy = PlacementPolicy(np.array([0.6, 0.2]), cache_size=1)
         cfg = SimConfig(trials=300, seed=99)
-        a = simulate_hit(policy, cat, params, cfg)
-        b = simulate_hit(policy, cat, params, cfg)
+        a = simulate_file_hit([0.6, 0.2], params, cfg)
+        b = simulate_file_hit([0.6, 0.2], params, cfg)
         assert a == b
-
-    def test_policy_length_mismatch(self):
-        cat = make_catalog(3, 0.7, [0.0] * 3, 1)
-        with pytest.raises(ValueError):
-            simulate_hit(
-                PlacementPolicy.uniform(2, 0.5),
-                cat,
-                default_params(),
-                SimConfig(trials=1),
-            )
 
 
 def per_file_reference(p, params, cfg, exclusion_radius, threshold):
-    """Per-file success counts: each scene drawn here and walked once per file."""
-    radius = _window_radius(params, cfg)
+    """Per-file success counts: each scene drawn here and walked once per file.
+
+    The radius is read through the module, so a test that patches
+    simulator._window_radius patches it here too.
+    """
+    radius = simulator._window_radius(params)
     alpha = params.alpha
     tail_mean = (
         2.0 * math.pi * params.bs_density * radius ** (2.0 - alpha) / (alpha - 2.0)
@@ -232,12 +204,9 @@ def assert_matches_reference(p, params, cfg):
 
 def test_shared_walk_matches_per_file_reference():
     params = default_params(guard_radius=600.0)
-    cat = make_catalog(7, 0.7, [0.0] * 7, 3)
     p = np.array([0.05, 0.6, 0.0, 1.0, 0.6, 0.3, 0.9])
     cfg = SimConfig(trials=60, seed=4)
     assert_matches_reference(p, params, cfg)
-    result = simulate_hit(PlacementPolicy(p), cat, params, cfg)
-    assert simulate_file_hit(p, params, cfg) == result.per_file
 
 
 @pytest.mark.parametrize("trials", [1, 15, 17, 49])
@@ -248,9 +217,10 @@ def test_block_boundaries_match_reference(trials):
     assert_matches_reference(np.array([0.1, 0.8, 0.35]), params, cfg)
 
 
-def test_sparse_window_matches_reference():
+def test_sparse_window_matches_reference(monkeypatch):
     # About 0.44 BSs per window: most rows of a block are empty padding.
-    cfg = SimConfig(trials=40, seed=9, window_radius=300.0)
+    monkeypatch.setattr(simulator, "_window_radius", lambda params: 300.0)
+    cfg = SimConfig(trials=40, seed=9)
     assert_matches_reference(np.array([0.3, 1.0]), default_params(), cfg)
 
 
@@ -305,16 +275,14 @@ class TestSimulateSecrecy:
             together = simulate(p, params, cfg)
             assert together == tuple(simulate([p_i], params, cfg)[0] for p_i in p)
 
-    def test_window_size_stability(self):
+    def test_window_size_stability(self, monkeypatch):
         # Doubling the observation window must not shift the estimate by
         # more than the combined Monte Carlo uncertainty.
         params = default_params()
-        (base,) = simulate_file_secrecy([0.5], params, SimConfig(trials=4_000, seed=17))
-        (wide,) = simulate_file_secrecy(
-            [0.5],
-            params,
-            SimConfig(trials=4_000, seed=17, window_radius=28_540.0),
-        )
+        cfg = SimConfig(trials=4_000, seed=17)
+        (base,) = simulate_file_secrecy([0.5], params, cfg)
+        monkeypatch.setattr(simulator, "_window_radius", lambda params: 28_540.0)
+        (wide,) = simulate_file_secrecy([0.5], params, cfg)
         assert abs(base.estimate - wide.estimate) <= (
             base.ci95_halfwidth + wide.ci95_halfwidth
         )

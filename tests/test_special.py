@@ -1,4 +1,4 @@
-"""Tests for the beta function and the hypergeometric family."""
+"""Tests for the hypergeometric family and the kappa1 interference constant."""
 
 import math
 
@@ -6,39 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cacheplace.special import beta, hyp2f1_1b
-
-
-def beta_quadrature_oracle(a, b):
-    """Independent oracle: direct quadrature of the defining integral."""
-    value, _ = integrate.quad(lambda x: x ** (a - 1) * (1 - x) ** (b - 1), 0, 1)
-    return value
-
-
-class TestBeta:
-    def test_unit_arguments(self):
-        assert beta(1, 1) == pytest.approx(1.0, abs=1e-14)
-
-    def test_half_half_is_pi(self):
-        assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-12)
-        assert beta(0.5, 0.5) == pytest.approx(
-            beta_quadrature_oracle(0.5, 0.5), rel=1e-8
-        )
-
-    def test_two_three(self):
-        assert beta(2, 3) == pytest.approx(1.0 / 12.0, rel=1e-12)
-        assert beta(2, 3) == pytest.approx(beta_quadrature_oracle(2, 3), rel=1e-10)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            a, b = rng.uniform(0.05, 5.0, size=2)
-            assert beta(a, b) == pytest.approx(beta(b, a), rel=1e-13)
-
-    @pytest.mark.parametrize("a,b", [(0, 1), (-1, 2), (1, 0), (2, -0.5)])
-    def test_domain_errors(self, a, b):
-        with pytest.raises(ValueError):
-            beta(a, b)
+from cacheplace.analytic import NetworkParams, derive_constants
+from cacheplace.special import hyp2f1_1b
 
 
 class TestHyp2f1:
@@ -87,14 +56,18 @@ class TestHyp2f1:
 
 
 def test_kappa1_matches_quadrature_oracle():
-    # kappa1(gamma) = delta gamma^delta B(1-delta, delta) must equal the
-    # interference integral 2 * int_0^inf (1 - 1/(1 + gamma x^-alpha)) x dx.
+    # derive_constants' kappa1(gamma) = delta gamma^delta B(1-delta, delta)
+    # must equal the interference integral
+    # 2 * int_0^inf (1 - 1/(1 + gamma x^-alpha)) x dx.
     # alpha barely above 2 decays too slowly for the oracle itself to reach
     # 1e-8; the artifact's parameter range starts at alpha = 3.
     for alpha in [3.0, 4.0, 5.5, 8.0]:
-        delta = 2.0 / alpha
+        params = NetworkParams(
+            bs_density=1e-6, eaves_density=0.0, alpha=alpha, guard_radius=0.0,
+            gamma_u=1.0, gamma_e=1.0,
+        )
         for gamma in [0.1, 10 ** (-0.5), 1.0, 5.0]:
-            kappa1 = delta * gamma**delta * beta(1 - delta, delta)
+            kappa1 = derive_constants(params, gamma).kappa1
             oracle = 2.0 * integrate.quad(
                 lambda x: (1 - 1 / (1 + gamma * x ** (-alpha))) * x,
                 0,
