@@ -28,7 +28,6 @@ from .optimizer import (
     OcpSolution,
     lcc_placement,
     mpc_placement,
-    placement_caps,
     solve_ocp,
 )
 from .simulator import (

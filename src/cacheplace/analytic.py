@@ -80,21 +80,6 @@ class NetworkParams:
     def delta(self):
         return 2.0 / self.alpha
 
-    @classmethod
-    def with_db_thresholds(
-        cls, bs_density, eaves_density, alpha, guard_radius,
-        gamma_u_db, gamma_e_db,
-    ):
-        """Construct from SIR thresholds quoted in dB."""
-        return cls(
-            bs_density=bs_density,
-            eaves_density=eaves_density,
-            alpha=alpha,
-            guard_radius=guard_radius,
-            gamma_u=db_to_linear(gamma_u_db),
-            gamma_e=db_to_linear(gamma_e_db),
-        )
-
 
 @dataclass(frozen=True)
 class DerivedConstants:
@@ -103,8 +88,7 @@ class DerivedConstants:
     delta = 2/alpha; kappa1 and kappa2 are the interference exponents from
     the whole-plane and outside-disk Laplace transforms; tau1 = 1 + kappa2 -
     kappa1 and tau2 = kappa1 * exp(pi * lambda_e * D^2) combine them with the
-    guard-zone thinning. gamma records the linear threshold they were
-    evaluated at.
+    guard-zone thinning.
     """
 
     delta: float
@@ -112,7 +96,6 @@ class DerivedConstants:
     kappa2: float
     tau1: float
     tau2: float
-    gamma: float
 
     def __post_init__(self):
         if not 0 < self.delta < 1:
@@ -146,7 +129,7 @@ def derive_constants(params, gamma):
             f"at pi * eaves_density * guard_radius^2 = {exponent:.6g}"
         ) from None
     return DerivedConstants(
-        delta=delta, kappa1=kappa1, kappa2=kappa2, tau1=tau1, tau2=tau2, gamma=gamma
+        delta=delta, kappa1=kappa1, kappa2=kappa2, tau1=tau1, tau2=tau2
     )
 
 

@@ -39,8 +39,6 @@ def zipf_popularity(file_count, beta):
 class FileCatalog:
     """Immutable file population: popularity, secrecy levels, cache size."""
 
-    file_count: int
-    beta: float
     popularity: np.ndarray
     secrecy_levels: np.ndarray
     cache_size: int
@@ -52,10 +50,6 @@ class FileCatalog:
         )
         if self.file_count < 1:
             raise CatalogError(f"file_count must be >= 1, got {self.file_count}")
-        if len(self.popularity) != self.file_count:
-            raise CatalogError(
-                f"popularity has length {len(self.popularity)}, expected {self.file_count}"
-            )
         if len(self.secrecy_levels) != self.file_count:
             raise CatalogError(
                 f"secrecy_levels has length {len(self.secrecy_levels)}, "
@@ -85,12 +79,14 @@ class FileCatalog:
         self.popularity.flags.writeable = False
         self.secrecy_levels.flags.writeable = False
 
+    @property
+    def file_count(self):
+        return len(self.popularity)
+
 
 def make_catalog(file_count, beta, secrecy_levels, cache_size):
     """Build a validated catalog with Zipf popularity attached."""
     return FileCatalog(
-        file_count=file_count,
-        beta=beta,
         popularity=zipf_popularity(file_count, beta),
         secrecy_levels=secrecy_levels,
         cache_size=cache_size,
@@ -134,7 +130,3 @@ class PlacementPolicy:
                     f"> C={self.cache_size}"
                 )
         self.p.flags.writeable = False
-
-    @classmethod
-    def uniform(cls, file_count, value, cache_size=None):
-        return cls(np.full(file_count, float(value)), cache_size)

@@ -29,11 +29,12 @@ from .analytic import (
     conditional_hit_probability,
     db_to_linear,
     hit_probability,
+    placement_cap,
     secrecy_probability_exact,
     secrecy_probability_lower_bound,
 )
 from .catalog import FileCatalog, PlacementPolicy, make_catalog, sample_secrecy_levels
-from .optimizer import lcc_placement, mpc_placement, placement_caps, solve_ocp
+from .optimizer import lcc_placement, mpc_placement, solve_ocp
 from .simulator import SimConfig, SimEstimate, simulate_file_hit, simulate_file_secrecy
 from .special import ConvergenceError
 
@@ -215,15 +216,15 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
     """
     doc = _object(doc, "the config")
     params_db = {**DEFAULT_PARAMS, **_object(doc.get("params", {}), "params")}
-    params = NetworkParams.with_db_thresholds(
-        **{
-            key: _number(params_db[key], f"params.{key}")
-            for key in (
-                "bs_density", "eaves_density", "alpha", "guard_radius",
-                "gamma_u_db", "gamma_e_db",
-            )
-        }
-    )
+    values = [
+        _number(params_db[key], f"params.{key}")
+        for key in (
+            "bs_density", "eaves_density", "alpha", "guard_radius",
+            "gamma_u_db", "gamma_e_db",
+        )
+    ]
+    # NetworkParams' fields in that order, with linear thresholds.
+    params = NetworkParams(*values[:4], *map(db_to_linear, values[4:]))
     catalog_doc = _object(doc.get("catalog", {}), "catalog")
     catalog = _build_catalog(catalog_doc, config_dir)
 
@@ -337,13 +338,13 @@ def _point_catalog(spec, value):
     return spec.catalog
 
 
-def _scheme_policy(scheme, catalog, params, caps, fixed_policy):
+def _scheme_policy(scheme, catalog, params, fixed_policy):
     if scheme == "OCP":
-        return solve_ocp(catalog, params, caps).policy
+        return solve_ocp(catalog, params).policy
     if scheme == "MPC":
-        return mpc_placement(catalog, params, caps)
+        return mpc_placement(catalog, params)
     if scheme == "LCC":
-        return lcc_placement(catalog, params, caps)
+        return lcc_placement(catalog, params)
     return PlacementPolicy(fixed_policy)  # FIXED: budget deliberately unchecked
 
 
@@ -363,8 +364,8 @@ def _file_columns(p, params, hit=None, secrecy=None):
         "secrecy_exact": secrecy_probability_exact(p, params).tolist(),
     }
     for name, est in (("hit", hit), ("secrecy", secrecy)):
-        columns[f"{name}_sim"] = [e.estimate for e in est] if est else None
-        columns[f"{name}_ci"] = [e.ci95_halfwidth for e in est] if est else None
+        columns[f"{name}_sim"] = est.estimate.tolist() if est else None
+        columns[f"{name}_ci"] = est.ci95_halfwidth.tolist() if est else None
     return columns
 
 
@@ -388,14 +389,15 @@ def _p_i_rows(spec):
     )
 
 
-def _scheme_rows(spec, point_idx, value, scheme_idx, catalog, params, caps):
+def _scheme_rows(spec, point_idx, value, scheme_idx, catalog, params):
     """Per-file rows of one (point, scheme), then its aggregate row (file 0)."""
     scheme = spec.schemes[scheme_idx]
-    policy = _scheme_policy(scheme, catalog, params, caps, spec.fixed_policy)
+    caps = placement_cap(catalog.secrecy_levels, params)
+    policy = _scheme_policy(scheme, catalog, params, spec.fixed_policy)
     hit, secrecy = _simulated(spec, policy.p, params, point_idx, scheme_idx)
     # The aggregate's simulated hit is the popularity-weighted per-file mean.
     aggregate = None if hit is None else SimEstimate.from_mean(
-        np.dot(catalog.popularity, [e.estimate for e in hit]), spec.sim.trials
+        np.dot(catalog.popularity, hit.estimate), spec.sim.trials
     )
     point = {"sweep_var": spec.sweep_var, "sweep_value": value, "scheme": scheme}
     rows = _rows(
@@ -431,11 +433,8 @@ def run_sweep(spec):
     for point_idx, value in enumerate(spec.sweep_values):
         params = _point_params(spec, value)
         catalog = _point_catalog(spec, value)
-        caps = placement_caps(catalog, params)
         for scheme_idx in range(len(spec.schemes)):
-            rows += _scheme_rows(
-                spec, point_idx, value, scheme_idx, catalog, params, caps
-            )
+            rows += _scheme_rows(spec, point_idx, value, scheme_idx, catalog, params)
     return rows
 
 
@@ -453,20 +452,20 @@ def write_sidecar(spec, path):
         fh.write("\n")
 
 
-def _report_row(quantity, point, analytic, sim, floor):
-    """One validate row: pass iff |analytic - sim| <= max(ci95, floor)."""
-    tol = max(sim.ci95_halfwidth, floor)
-    gap = abs(analytic - sim.estimate)
+def _report_row(quantity, point, analytic, simulated, ci, floor):
+    """One validate row: pass iff |analytic - simulated| <= max(ci, floor)."""
+    tol = max(ci, floor)
+    gap = abs(analytic - simulated)
     return {
         "quantity": quantity,
         "point": point,
         "analytic": analytic,
-        "simulated": sim.estimate,
-        "ci": sim.ci95_halfwidth,
+        "simulated": simulated,
+        "ci": ci,
         "tolerance": tol,
         "gap": gap,
         "status": "pass" if gap <= tol else "fail",
-        "note": "ci-wide" if sim.ci95_halfwidth > floor else "",
+        "note": "ci-wide" if ci > floor else "",
     }
 
 
@@ -488,27 +487,31 @@ def run_validate(spec):
         raise SpecError("validate.hit_p and validate.secrecy_p are both empty")
     params = spec.params
 
+    hit_sim = simulate_file_hit(hit_grid, params, _sim_config(spec, 0))
     hit = zip(
         hit_grid,
         conditional_hit_probability(hit_grid, params).tolist(),
-        simulate_file_hit(hit_grid, params, _sim_config(spec, 0)),
+        hit_sim.estimate.tolist(),
+        hit_sim.ci95_halfwidth.tolist(),
     )
     # Files at equal p share their closed form and, from shared scenes, their
     # estimate; the report keeps one row per file.
     report = [
-        _report_row("hit", f"p={p:g} file={i + 1}", analytic, sim, hit_tol)
-        for p, analytic, sim in hit
+        _report_row("hit", f"p={p:g} file={i + 1}", analytic, sim, ci, hit_tol)
+        for p, analytic, sim, ci in hit
         for i in range(spec.catalog.file_count)
     ]
+    secrecy_sim = simulate_file_secrecy(secrecy_grid, params, _sim_config(spec, 1))
     secrecy = zip(
         secrecy_grid,
         secrecy_probability_lower_bound(secrecy_grid, params).tolist(),
         secrecy_probability_exact(secrecy_grid, params).tolist(),
-        simulate_file_secrecy(secrecy_grid, params, _sim_config(spec, 1)),
+        secrecy_sim.estimate.tolist(),
+        secrecy_sim.ci95_halfwidth.tolist(),
     )
     report += [
-        _report_row(name, f"p={p:g}", analytic, sim, secrecy_tol)
-        for p, lower, exact, sim in secrecy
+        _report_row(name, f"p={p:g}", analytic, sim, ci, secrecy_tol)
+        for p, lower, exact, sim, ci in secrecy
         for name, analytic in (("secrecy_lb", lower), ("secrecy_exact", exact))
     ]
     ok = all(row["status"] == "pass" for row in report)
@@ -532,8 +535,8 @@ def write_validate_rows(report, path):
 def run_solve(spec):
     """Solve the single-instance placement problem; returns a JSON-able dict."""
     solution = solve_ocp(spec.catalog, spec.params)
-    mpc = mpc_placement(spec.catalog, spec.params, solution.caps)
-    lcc = lcc_placement(spec.catalog, spec.params, solution.caps)
+    mpc = mpc_placement(spec.catalog, spec.params)
+    lcc = lcc_placement(spec.catalog, spec.params)
     return {
         "p_star": solution.policy.p.tolist(),
         "caps": solution.caps.tolist(),

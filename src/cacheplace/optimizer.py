@@ -17,7 +17,6 @@ from .catalog import PlacementPolicy
 
 __all__ = [
     "OcpSolution",
-    "placement_caps",
     "solve_ocp",
     "mpc_placement",
     "lcc_placement",
@@ -37,11 +36,6 @@ class OcpSolution:
     active_set: tuple
     objective: float
     caps: np.ndarray
-
-
-def placement_caps(catalog, params):
-    """Per-file caching caps implied by the secrecy levels."""
-    return placement_cap(catalog.secrecy_levels, params)
 
 
 def _water_fill(catalog, params, caps):
@@ -114,17 +108,15 @@ def _water_fill(catalog, params, caps):
     return nu, p, active
 
 
-def solve_ocp(catalog, params, caps=None):
+def solve_ocp(catalog, params):
     """Globally optimal placement maximizing hit probability.
 
-    If the caps alone fit the budget the caps are optimal and the dual is
-    zero; otherwise the budget is active and the water-filling solution at
-    the exact dual variable applies, with the interior files filling exactly
-    the budget the capped files leave.
+    If the secrecy caps alone fit the budget the caps are optimal and the
+    dual is zero; otherwise the budget is active and the water-filling
+    solution at the exact dual variable applies, with the interior files
+    filling exactly the budget the capped files leave.
     """
-    if caps is None:
-        caps = placement_caps(catalog, params)
-    caps = np.asarray(caps, float)
+    caps = placement_cap(catalog.secrecy_levels, params)
     if caps.sum() <= catalog.cache_size:
         p = caps.copy()
         nu = 0.0
@@ -153,29 +145,28 @@ def _greedy_fill(order, caps, budget):
     return p
 
 
-def mpc_placement(catalog, params, caps=None):
+def _greedy_placement(catalog, params, key):
+    """Greedy fill to the secrecy caps in ascending key, ties to the lower index."""
+    order = np.lexsort((np.arange(catalog.file_count), key))
+    caps = placement_cap(catalog.secrecy_levels, params)
+    return PlacementPolicy(
+        _greedy_fill(order, caps, catalog.cache_size), catalog.cache_size
+    )
+
+
+def mpc_placement(catalog, params):
     """Most-popular-contents baseline: greedy fill in descending popularity.
 
     Ties break toward the lower file index. Each file is capped by its
     secrecy cap, so the result is always secrecy-feasible.
     """
-    if caps is None:
-        caps = placement_caps(catalog, params)
-    order = np.lexsort((np.arange(catalog.file_count), -catalog.popularity))
-    return PlacementPolicy(
-        _greedy_fill(order, caps, catalog.cache_size), catalog.cache_size
-    )
+    return _greedy_placement(catalog, params, -catalog.popularity)
 
 
-def lcc_placement(catalog, params, caps=None):
+def lcc_placement(catalog, params):
     """Least-classified-contents baseline: greedy fill in ascending secrecy level.
 
     Same greedy rule as MPC with the visit order keyed on the secrecy levels,
     ties toward the lower file index.
     """
-    if caps is None:
-        caps = placement_caps(catalog, params)
-    order = np.lexsort((np.arange(catalog.file_count), catalog.secrecy_levels))
-    return PlacementPolicy(
-        _greedy_fill(order, caps, catalog.cache_size), catalog.cache_size
-    )
+    return _greedy_placement(catalog, params, catalog.secrecy_levels)

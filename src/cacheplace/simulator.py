@@ -1,8 +1,8 @@
 """Monte Carlo ground truth for hit and secrecy probabilities.
 
 The public surface is SimConfig(trials, seed), SimEstimate and the per-file
-simulators simulate_file_hit and simulate_file_secrecy; a caller weights
-the per-file estimates itself for an aggregate.
+simulators simulate_file_hit and simulate_file_secrecy, which return one
+SimEstimate of per-file arrays; a caller weights them for an aggregate.
 
 Each trial samples one realization of the base-station and eavesdropper
 point processes in a window sized from the network parameters alone (see
@@ -81,16 +81,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimEstimate:
-    """Monte Carlo probability estimate with a 95% binomial half-width."""
+    """Monte Carlo probability estimates, one or per file, with 95% half-widths."""
 
-    estimate: float
+    estimate: float | np.ndarray
     trials: int
-    ci95_halfwidth: float
+    ci95_halfwidth: float | np.ndarray
 
     @classmethod
     def from_mean(cls, mean, trials):
-        mean = float(mean)
-        half = 1.96 * math.sqrt(mean * (1.0 - mean) / trials)
+        """Wald's half-width 1.96 sqrt(m (1 - m) / n) at each mean m."""
+        half = 1.96 * np.sqrt(mean * (1.0 - mean) / trials)
         return cls(estimate=mean, trials=trials, ci95_halfwidth=half)
 
 
@@ -261,10 +261,6 @@ def _file_probabilities(p):
     return p
 
 
-def _estimates(counts, trials):
-    return tuple(SimEstimate.from_mean(c / trials, trials) for c in counts)
-
-
 def simulate_file_hit(p, params, cfg):
     """Empirical hit probability of each file, cached with probability p[i].
 
@@ -276,7 +272,7 @@ def simulate_file_hit(p, params, cfg):
     entry i equals a one-file call at p[i] with the same seed.
     """
     hits = _success_counts(_file_probabilities(p), params, cfg, None, params.gamma_u)
-    return _estimates(hits, cfg.trials)
+    return SimEstimate.from_mean(hits / cfg.trials, cfg.trials)
 
 
 def simulate_file_secrecy(p, params, cfg):
@@ -292,4 +288,4 @@ def simulate_file_secrecy(p, params, cfg):
     """
     p = _file_probabilities(p)
     wiretapped = _success_counts(p, params, cfg, params.guard_radius, params.gamma_e)
-    return _estimates(cfg.trials - wiretapped, cfg.trials)
+    return SimEstimate.from_mean((cfg.trials - wiretapped) / cfg.trials, cfg.trials)

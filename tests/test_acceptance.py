@@ -64,10 +64,11 @@ def test_criterion_1_hit_probability_matches_simulation():
     for k, p in enumerate([0.2, 0.5, 1.0]):
         analytic = conditional_hit_probability(p, params)
         cfg = SimConfig(trials=TRIALS, seed=100 + k)
-        for est in simulate_file_hit([p] * 10, params, cfg):
-            gap = abs(analytic - est.estimate)
+        result = simulate_file_hit([p] * 10, params, cfg)
+        for est, ci in zip(result.estimate, result.ci95_halfwidth):
+            gap = abs(analytic - est)
             worst = max(worst, gap)
-            if gap > max(est.ci95_halfwidth, 0.01):
+            if gap > max(ci, 0.01):
                 ok = False
     report(1, "analytic-simulation hit agreement", ok, f"worst gap {worst:.4f}")
     assert ok
@@ -89,10 +90,10 @@ def test_criterion_2_secrecy_bound_validity_and_tightness():
         if p < 0.3:
             continue
         cfg = SimConfig(trials=TRIALS, seed=200 + k)
-        (est,) = simulate_file_secrecy([p], params, cfg)
-        gap = abs(secrecy_probability_lower_bound(p, params) - est.estimate)
+        est = simulate_file_secrecy([p], params, cfg)
+        gap = abs(secrecy_probability_lower_bound(p, params) - est.estimate[0])
         worst = max(worst, gap)
-        if gap > max(est.ci95_halfwidth, 0.015):
+        if gap > max(est.ci95_halfwidth[0], 0.015):
             tight_ok = False
             details.append(f"p={p:g} gap={gap:.4f}")
     ok = ordering_ok and tight_ok
@@ -116,15 +117,16 @@ def test_criterion_3_classical_coverage_cross_check():
     analytic = conditional_hit_probability(1.0, params)
     analytic_ok = abs(analytic - expected) <= 1e-10
     # The always-cached file rides with a never-cached one, p = (1, 0).
-    est = simulate_file_hit([1.0, 0.0], params, SimConfig(trials=TRIALS, seed=300))[0]
-    sim_ok = abs(est.estimate - expected) <= est.ci95_halfwidth
+    result = simulate_file_hit([1.0, 0.0], params, SimConfig(trials=TRIALS, seed=300))
+    estimate, ci = result.estimate[0], result.ci95_halfwidth[0]
+    sim_ok = abs(estimate - expected) <= ci
     ok = analytic_ok and sim_ok
     report(
         3,
         "classical coverage cross-check 1/(1+pi/4)",
         ok,
         f"analytic gap {abs(analytic - expected):.2e}, "
-        f"sim gap {abs(est.estimate - expected):.4f} vs ci {est.ci95_halfwidth:.4f}",
+        f"sim gap {abs(estimate - expected):.4f} vs ci {ci:.4f}",
     )
     assert ok
 

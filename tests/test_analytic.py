@@ -18,6 +18,7 @@ from cacheplace.analytic import (
     secrecy_probability_lower_bound,
 )
 from cacheplace.catalog import PlacementPolicy, make_catalog
+from cacheplace.cli import parse_spec
 from cacheplace.special import ConvergenceError
 
 BS_DENSITY = 1.0 / 800.0**2
@@ -63,16 +64,11 @@ class TestNetworkParams:
             default_params(**{field: value})
 
     def test_db_construction(self):
-        params = NetworkParams.with_db_thresholds(
-            bs_density=BS_DENSITY,
-            eaves_density=0.0,
-            alpha=3.0,
-            guard_radius=0.0,
-            gamma_u_db=-5.0,
-            gamma_e_db=-7.0,
-        )
-        assert params.gamma_u == pytest.approx(10 ** (-0.5), rel=1e-15)
-        assert params.gamma_e == pytest.approx(10 ** (-0.7), rel=1e-15)
+        # The CLI boundary converts the dB thresholds with db_to_linear.
+        spec = parse_spec({"params": {"gamma_u_db": -5.0, "gamma_e_db": -7.0}})
+        assert spec.params.gamma_u == db_to_linear(-5.0)
+        assert spec.params.gamma_u == pytest.approx(10 ** (-0.5), rel=1e-15)
+        assert spec.params.gamma_e == pytest.approx(10 ** (-0.7), rel=1e-15)
 
     def test_delta(self):
         assert default_params(alpha=4.0).delta == 0.5
@@ -142,7 +138,7 @@ class TestDeriveConstants:
 class TestHitProbability:
     def test_zero_policy(self):
         cat = make_catalog(10, 0.7, [0.0] * 10, 5)
-        policy = PlacementPolicy.uniform(10, 0.0)
+        policy = PlacementPolicy(np.full(10, 0.0))
         assert hit_probability(policy, cat, default_params()) == 0.0
 
     def test_classical_coverage_value(self):
@@ -211,7 +207,7 @@ class TestHitProbability:
     def test_length_mismatch(self):
         cat = make_catalog(5, 0.7, [0.1] * 5, 2)
         with pytest.raises(ValueError):
-            hit_probability(PlacementPolicy.uniform(4, 0.5), cat, default_params())
+            hit_probability(PlacementPolicy(np.full(4, 0.5)), cat, default_params())
 
     def test_decreasing_in_guard_radius(self):
         values = [

@@ -83,7 +83,7 @@ class TestMakeCatalog:
         with pytest.raises(CatalogError):
             make_catalog(3, 1.0, [0.2, 0.5, 0.8], 3)
 
-    def test_unit_level_requires_flag(self):
+    def test_unit_level_rejected(self):
         eps = [0.0, 1.0, 0.5, 0.1]
         with pytest.raises(CatalogError):
             make_catalog(4, 0.7, eps, 2)
@@ -142,5 +142,5 @@ class TestPlacementPolicy:
         assert policy.p.sum() == 10
 
     def test_uniform_constructor(self):
-        policy = PlacementPolicy.uniform(4, 0.25, cache_size=1)
+        policy = PlacementPolicy(np.full(4, 0.25), cache_size=1)
         assert np.allclose(policy.p, 0.25)

@@ -7,20 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cacheplace import optimizer
 from cacheplace.analytic import (
     NetworkParams,
     db_to_linear,
     derive_constants,
     hit_probability,
+    placement_cap,
     secrecy_probability_lower_bound,
 )
-from cacheplace.catalog import PlacementPolicy, make_catalog, sample_secrecy_levels
-from cacheplace.optimizer import (
-    lcc_placement,
-    mpc_placement,
-    placement_caps,
-    solve_ocp,
+from cacheplace.catalog import (
+    FileCatalog,
+    PlacementPolicy,
+    make_catalog,
+    sample_secrecy_levels,
 )
+from cacheplace.optimizer import lcc_placement, mpc_placement, solve_ocp
 
 BS_DENSITY = 1.0 / 800.0**2
 
@@ -86,7 +88,7 @@ class TestSolveOcp:
         params = default_params()
         eps = [0.95, 0.9, 0.92, 0.97, 0.9]
         cat = make_catalog(5, 0.7, eps, 4)
-        caps = placement_caps(cat, params)
+        caps = placement_cap(cat.secrecy_levels, params)
         assert caps.sum() < cat.cache_size
         sol = solve_ocp(cat, params)
         assert np.allclose(sol.policy.p, caps)
@@ -96,7 +98,7 @@ class TestSolveOcp:
     def test_matches_grid_search_oracle(self):
         params = default_params()
         cat = make_catalog(4, 0.7, [0.1, 0.6, 0.3, 0.8], 2)
-        caps = placement_caps(cat, params)
+        caps = placement_cap(cat.secrecy_levels, params)
         sol = solve_ocp(cat, params)
         best_obj, best_p = grid_search_objective(cat, params, caps)
         # The solver must do at least as well as the grid, and agree with
@@ -110,7 +112,7 @@ class TestSolveOcp:
             eps = sample_secrecy_levels(10, 0.6, seed=seed)
             cat = make_catalog(10, 0.7, eps, 5)
             sol = solve_ocp(cat, params)
-            caps = placement_caps(cat, params)
+            caps = placement_cap(cat.secrecy_levels, params)
             expected = min(float(cat.cache_size), float(caps.sum()))
             assert sol.policy.p.sum() == pytest.approx(expected, abs=1e-8)
 
@@ -149,11 +151,7 @@ class TestSolveOcp:
         cat = make_catalog(5, 0.7, eps, 2)
         sol = solve_ocp(cat, params)
         perm = np.array([3, 0, 4, 1, 2])
-        from cacheplace.catalog import FileCatalog
-
         cat_perm = FileCatalog(
-            file_count=5,
-            beta=cat.beta,
             popularity=cat.popularity[perm],
             secrecy_levels=cat.secrecy_levels[perm],
             cache_size=2,
@@ -176,15 +174,15 @@ class TestSolveOcp:
                 assert sol.objective >= value - 1e-10
 
 
-class TestDualBisection:
+class TestWaterFill:
     """The breakpoint search for the budget's dual variable."""
 
     def test_clipped_total_decreasing_in_dual(self):
         params = default_params()
         cat = make_catalog(8, 0.7, [0.2] * 8, 4)
-        caps = placement_caps(cat, params)
+        caps = placement_cap(cat.secrecy_levels, params)
         c = derive_constants(params, params.gamma_u)
-        nu_star = solve_ocp(cat, params, caps).dual
+        nu_star = solve_ocp(cat, params).dual
         totals = []
         for s in [0.25, 0.5, 1.0, 2.0, 4.0]:
             root = np.sqrt(c.tau2 * cat.popularity / (nu_star * s))
@@ -259,8 +257,15 @@ class TestBaselines:
         params = default_params()
         cat = make_catalog(5, 0.7, [0.0] * 5, 2)
         caps = np.array([0.3, 1.0, 0.7, 1.0, 1.0])
-        policy = mpc_placement(cat, params, caps=caps)
-        assert np.allclose(policy.p, [0.3, 1.0, 0.7, 0.0, 0.0])
+        order = [0, 1, 2, 3, 4]
+        p = optimizer._greedy_fill(order, caps, cat.cache_size)
+        assert np.allclose(p, [0.3, 1.0, 0.7, 0.0, 0.0])
+        # MPC visits the files in that order, up to their own caps.
+        own_caps = placement_cap(cat.secrecy_levels, params)
+        assert np.array_equal(
+            mpc_placement(cat, params).p,
+            optimizer._greedy_fill(order, own_caps, cat.cache_size),
+        )
 
     def test_lcc_hand_trace(self):
         # Visit order by ascending secrecy level: files 2 (eps .1), 0 (.2),
@@ -269,15 +274,22 @@ class TestBaselines:
         params = default_params()
         cat = make_catalog(4, 0.7, [0.2, 0.9, 0.1, 0.5], 2)
         caps = np.array([1.0, 0.4, 1.0, 1.0])
-        policy = lcc_placement(cat, params, caps=caps)
-        assert np.allclose(policy.p, [1.0, 0.0, 1.0, 0.0])
+        order = [2, 0, 3, 1]
+        p = optimizer._greedy_fill(order, caps, cat.cache_size)
+        assert np.allclose(p, [1.0, 0.0, 1.0, 0.0])
+        # LCC visits the files in that order, up to their own caps.
+        own_caps = placement_cap(cat.secrecy_levels, params)
+        assert np.array_equal(
+            lcc_placement(cat, params).p,
+            optimizer._greedy_fill(order, own_caps, cat.cache_size),
+        )
 
     def test_baselines_respect_caps_and_budget(self):
         params = default_params()
         for seed in range(5):
             eps = sample_secrecy_levels(10, 0.6, seed=seed)
             cat = make_catalog(10, 0.7, eps, 5)
-            caps = placement_caps(cat, params)
+            caps = placement_cap(cat.secrecy_levels, params)
             for baseline in (mpc_placement, lcc_placement):
                 policy = baseline(cat, params)
                 assert np.all(policy.p <= caps + 1e-12)
@@ -296,6 +308,6 @@ class TestBaselines:
 def test_caps_shrink_with_level():
     params = default_params()
     cat = make_catalog(4, 0.7, [0.1, 0.3, 0.6, 0.9], 2)
-    caps = placement_caps(cat, params)
+    caps = placement_cap(cat.secrecy_levels, params)
     assert np.all(np.diff(caps) <= 0)
     assert caps[-1] < caps[0]

@@ -118,7 +118,7 @@ class TestConfigAndEstimate:
 class TestSimulateHit:
     def test_zero_policy_never_hits(self):
         result = simulate_file_hit(np.zeros(3), default_params(), SimConfig(trials=50))
-        assert all(e.estimate == 0.0 for e in result)
+        assert np.all(result.estimate == 0.0)
 
     def test_classical_coverage_value(self):
         # One always-cached file, no eavesdroppers, alpha=4, gamma=1: the hit
@@ -127,18 +127,19 @@ class TestSimulateHit:
             alpha=4.0, eaves_density=0.0, guard_radius=0.0, gamma_u=1.0
         )
         cfg = SimConfig(trials=20_000, seed=42)
-        cached, uncached = simulate_file_hit([1.0, 0.0], params, cfg)
+        result = simulate_file_hit([1.0, 0.0], params, cfg)
         expected = 1.0 / (1.0 + math.pi / 4.0)
-        assert abs(cached.estimate - expected) <= max(cached.ci95_halfwidth, 0.01)
-        assert uncached.estimate == 0.0
+        gap = abs(result.estimate[0] - expected)
+        assert gap <= max(result.ci95_halfwidth[0], 0.01)
+        assert result.estimate[1] == 0.0
 
     def test_matches_closed_form_with_guard_zones(self):
         params = default_params()
         cfg = SimConfig(trials=20_000, seed=5)
         result = simulate_file_hit([0.5, 0.5], params, cfg)
         analytic = conditional_hit_probability(0.5, params)
-        for est in result:
-            assert abs(est.estimate - analytic) <= max(est.ci95_halfwidth, 0.01)
+        for est, ci in zip(result.estimate, result.ci95_halfwidth):
+            assert abs(est - analytic) <= max(ci, 0.01)
 
     def test_monotone_in_placement_probability(self):
         # Common random numbers across runs with the same seed make the hit
@@ -146,7 +147,7 @@ class TestSimulateHit:
         params = default_params()
         cfg = SimConfig(trials=2_000, seed=13)
         estimates = [
-            simulate_file_hit([p, 0.0], params, cfg)[0].estimate
+            simulate_file_hit([p, 0.0], params, cfg).estimate[0]
             for p in [0.2, 0.5, 1.0]
         ]
         assert estimates[0] <= estimates[1] <= estimates[2]
@@ -156,7 +157,13 @@ class TestSimulateHit:
         cfg = SimConfig(trials=300, seed=99)
         a = simulate_file_hit([0.6, 0.2], params, cfg)
         b = simulate_file_hit([0.6, 0.2], params, cfg)
-        assert a == b
+        assert_same_estimates(a, b)
+
+
+def assert_same_estimates(a, b):
+    assert a.trials == b.trials
+    assert np.array_equal(a.estimate, b.estimate)
+    assert np.array_equal(a.ci95_halfwidth, b.ci95_halfwidth)
 
 
 def per_file_reference(p, params, cfg, exclusion_radius, threshold):
@@ -195,11 +202,10 @@ def per_file_reference(p, params, cfg, exclusion_radius, threshold):
 def assert_matches_reference(p, params, cfg):
     hits = per_file_reference(p, params, cfg, None, params.gamma_u)
     wiretapped = per_file_reference(p, params, cfg, params.guard_radius, params.gamma_e)
-    assert [e.estimate for e in simulate_file_hit(p, params, cfg)] == list(
-        hits / cfg.trials
-    )
+    hit = simulate_file_hit(p, params, cfg)
+    assert hit.estimate.tolist() == list(hits / cfg.trials)
     secrecy = simulate_file_secrecy(p, params, cfg)
-    assert [e.estimate for e in secrecy] == list((cfg.trials - wiretapped) / cfg.trials)
+    assert secrecy.estimate.tolist() == list((cfg.trials - wiretapped) / cfg.trials)
 
 
 def test_shared_walk_matches_per_file_reference():
@@ -234,9 +240,9 @@ def test_rare_files_match_reference():
 
 class TestSimulateSecrecy:
     def test_uncached_file_is_always_secret(self):
-        (est,) = simulate_file_secrecy([0.0], default_params(), SimConfig(trials=100))
-        assert est.estimate == 1.0
-        assert est.ci95_halfwidth == 0.0
+        est = simulate_file_secrecy([0.0], default_params(), SimConfig(trials=100))
+        assert est.estimate[0] == 1.0
+        assert est.ci95_halfwidth[0] == 0.0
 
     def test_all_uncached_draws_no_scene(self, monkeypatch):
         def no_scene(*args):
@@ -245,24 +251,24 @@ class TestSimulateSecrecy:
         monkeypatch.setattr("cacheplace.simulator._draw_block", no_scene)
         params, cfg = default_params(), SimConfig(trials=100)
         estimates = simulate_file_secrecy(np.zeros(3), params, cfg)
-        assert estimates == (SimEstimate(1.0, 100, 0.0),) * 3
-        assert simulate_file_hit(np.zeros(3), params, cfg) == (
-            SimEstimate(0.0, 100, 0.0),
-        ) * 3
+        assert_same_estimates(estimates, SimEstimate(np.ones(3), 100, np.zeros(3)))
+        assert_same_estimates(
+            simulate_file_hit(np.zeros(3), params, cfg),
+            SimEstimate(np.zeros(3), 100, np.zeros(3)),
+        )
 
     def test_huge_eaves_threshold_gives_secrecy(self):
         # gamma_e = +60 dB is unreachable for any interfered eavesdropper.
         params = default_params(gamma_e=db_to_linear(60.0))
-        (est,) = simulate_file_secrecy([1.0], params, SimConfig(trials=2_000, seed=8))
-        assert est.estimate == pytest.approx(1.0, abs=0.005)
+        est = simulate_file_secrecy([1.0], params, SimConfig(trials=2_000, seed=8))
+        assert est.estimate[0] == pytest.approx(1.0, abs=0.005)
 
     def test_monotone_decreasing_in_placement(self):
         # All files share each trial's scene, so the secrecy indicator is
         # monotone in p trial by trial.
         params = default_params()
         cfg = SimConfig(trials=4_000, seed=21)
-        estimates = simulate_file_secrecy([0.2, 0.5, 1.0], params, cfg)
-        values = [e.estimate for e in estimates]
+        values = simulate_file_secrecy([0.2, 0.5, 1.0], params, cfg).estimate
         assert values[0] >= values[1] >= values[2]
 
     def test_entry_matches_single_file_call(self):
@@ -273,18 +279,22 @@ class TestSimulateSecrecy:
         p = [0.7, 0.0, 0.2, 1.0, 0.2, 0.45]
         for simulate in (simulate_file_secrecy, simulate_file_hit):
             together = simulate(p, params, cfg)
-            assert together == tuple(simulate([p_i], params, cfg)[0] for p_i in p)
+            alone = [simulate([p_i], params, cfg) for p_i in p]
+            assert together.estimate.tolist() == [a.estimate[0] for a in alone]
+            assert together.ci95_halfwidth.tolist() == [
+                a.ci95_halfwidth[0] for a in alone
+            ]
 
     def test_window_size_stability(self, monkeypatch):
         # Doubling the observation window must not shift the estimate by
         # more than the combined Monte Carlo uncertainty.
         params = default_params()
         cfg = SimConfig(trials=4_000, seed=17)
-        (base,) = simulate_file_secrecy([0.5], params, cfg)
+        base = simulate_file_secrecy([0.5], params, cfg)
         monkeypatch.setattr(simulator, "_window_radius", lambda params: 28_540.0)
-        (wide,) = simulate_file_secrecy([0.5], params, cfg)
-        assert abs(base.estimate - wide.estimate) <= (
-            base.ci95_halfwidth + wide.ci95_halfwidth
+        wide = simulate_file_secrecy([0.5], params, cfg)
+        assert abs(base.estimate[0] - wide.estimate[0]) <= (
+            base.ci95_halfwidth[0] + wide.ci95_halfwidth[0]
         )
 
     def test_domain_error(self):
