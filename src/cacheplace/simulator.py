@@ -2,7 +2,8 @@
 
 The public surface is SimConfig(trials, seed), SimEstimate and the per-file
 simulators simulate_file_hit and simulate_file_secrecy, which return one
-SimEstimate of per-file arrays; a caller weights them for an aggregate.
+SimEstimate of per-file arrays (_file_estimates gives their half-widths); a
+caller weights them for an aggregate.
 
 Each trial samples one realization of the base-station and eavesdropper
 point processes in a window sized from the network parameters alone (see
@@ -36,7 +37,7 @@ cancels from every SIR and never enters the computation.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -261,6 +262,18 @@ def _file_probabilities(p):
     return p
 
 
+def _file_estimates(p, successes, trials):
+    """Per-file estimates with Wald's half-width, except at 0 or n successes.
+
+    There Wald's half-width is 0, so a simulated file (p > 0) gets the exact
+    Clopper-Pearson one, 1 - 0.025^(1/n); a file with p = 0 is exact.
+    """
+    est = SimEstimate.from_mean(successes / trials, trials)
+    edge = (p > 0.0) & ((successes == 0) | (successes == trials))
+    exact = 1.0 - 0.025 ** (1.0 / trials)
+    return replace(est, ci95_halfwidth=np.where(edge, exact, est.ci95_halfwidth))
+
+
 def simulate_file_hit(p, params, cfg):
     """Empirical hit probability of each file, cached with probability p[i].
 
@@ -271,8 +284,9 @@ def simulate_file_hit(p, params, cfg):
     share each trial's scene, and a scene's draws do not depend on p, so
     entry i equals a one-file call at p[i] with the same seed.
     """
-    hits = _success_counts(_file_probabilities(p), params, cfg, None, params.gamma_u)
-    return SimEstimate.from_mean(hits / cfg.trials, cfg.trials)
+    p = _file_probabilities(p)
+    hits = _success_counts(p, params, cfg, None, params.gamma_u)
+    return _file_estimates(p, hits, cfg.trials)
 
 
 def simulate_file_secrecy(p, params, cfg):
@@ -288,4 +302,4 @@ def simulate_file_secrecy(p, params, cfg):
     """
     p = _file_probabilities(p)
     wiretapped = _success_counts(p, params, cfg, params.guard_radius, params.gamma_e)
-    return SimEstimate.from_mean((cfg.trials - wiretapped) / cfg.trials, cfg.trials)
+    return _file_estimates(p, cfg.trials - wiretapped, cfg.trials)

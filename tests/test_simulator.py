@@ -114,6 +114,27 @@ class TestConfigAndEstimate:
         assert est.ci95_halfwidth == pytest.approx(1.96 * 0.005, rel=1e-12)
         assert SimEstimate.from_mean(0.0, 100).ci95_halfwidth == 0.0
 
+    def test_exact_halfwidth_at_zero_or_all_successes(self):
+        # Wald's half-width is 0 at 0 or n successes; a simulated file there
+        # gets the exact Clopper-Pearson one, 1 - 0.025^(1/n). Files with
+        # p = 0 are exact (hit 0, secrecy 1) and keep a zero half-width.
+        params, cfg = default_params(), SimConfig(trials=5, seed=2)
+        exact = 1.0 - 0.025 ** (1.0 / 5)
+        hit = simulate_file_hit([1e-9, 0.0], params, cfg)
+        assert hit.estimate.tolist() == [0.0, 0.0]
+        assert hit.ci95_halfwidth.tolist() == [exact, 0.0]
+        secrecy = simulate_file_secrecy([1e-9, 0.0], params, cfg)
+        assert secrecy.estimate.tolist() == [1.0, 1.0]
+        assert secrecy.ci95_halfwidth.tolist() == [exact, 0.0]
+        assert exact > 0.5
+
+    def test_wald_halfwidth_between_the_edges(self):
+        cfg = SimConfig(trials=400, seed=3)
+        est = simulate_file_hit([0.5], default_params(), cfg)
+        m = est.estimate[0]
+        assert 0.0 < m < 1.0
+        assert est.ci95_halfwidth[0] == 1.96 * math.sqrt(m * (1.0 - m) / 400)
+
 
 class TestSimulateHit:
     def test_zero_policy_never_hits(self):
