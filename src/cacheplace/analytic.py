@@ -110,8 +110,8 @@ class DerivedConstants:
 
 def derive_constants(params, gamma):
     """Evaluate delta, kappa1, kappa2, tau1, tau2 at the linear threshold gamma."""
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     delta = params.delta
     # delta gamma^delta B(1 - delta, delta), with B(1 - delta, delta) =
     # pi / sin(pi delta) by Euler's reflection formula.

@@ -37,6 +37,7 @@ cancels from every SIR and never enters the computation.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,6 +75,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SimulationConfigError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise SimulationConfigError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:

@@ -129,6 +129,12 @@ class TestDeriveConstants:
         with pytest.raises(ValueError):
             derive_constants(default_params(), 0.0)
 
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_gamma(self, gamma):
+        # Not blamed on the guard zone, as an overflowing tau2 would be.
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            derive_constants(default_params(), gamma)
+
     def test_guard_zone_overflow_is_a_value_error(self):
         # pi * lambda_e * D^2 = 883.6 at D = 30 km: exp overflows tau2.
         with pytest.raises(ValueError, match="pi \\* eaves_density"):

@@ -449,8 +449,10 @@ class TestErrorHandling:
         assert f"error: {field}" in capsys.readouterr().err
 
     def test_closed_stdout_keeps_the_command_status(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, capsys, monkeypatch
     ):
+        # capsys is set up first so that it is torn down last, after
+        # monkeypatch has put its capture stream back as sys.stdout.
         # A reader that stops early (`cacheplace solve ... | head -2`) closes
         # stdout; that is not invalid input, and the output file is written.
         config = write_config(tmp_path, {"catalog": SMALL_CATALOG})

@@ -135,6 +135,28 @@ class TestConfigAndEstimate:
         assert 0.0 < m < 1.0
         assert est.ci95_halfwidth[0] == 1.96 * math.sqrt(m * (1.0 - m) / 400)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", math.inf),
+            ("trials", math.nan),
+            ("trials", 2.5),
+            ("trials", 2.0),
+            ("trials", True),
+            ("trials", "10"),
+            ("seed", 1.5),
+            ("seed", math.nan),
+            ("seed", False),
+        ],
+    )
+    def test_config_rejects_non_integer(self, field, value):
+        with pytest.raises(SimulationConfigError, match=f"{field} must be an integer"):
+            SimConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = SimConfig(trials=np.int64(3), seed=np.uint64(2**64 - 1))
+        assert simulate_file_hit([0.5], default_params(), cfg).trials == 3
+
 
 class TestSimulateHit:
     def test_zero_policy_never_hits(self):
