@@ -3,10 +3,10 @@
 The hit-probability objective is concave in each caching probability, the
 secrecy constraints reduce to per-file upper caps (each placement computes
 them from the catalog's secrecy levels), and the storage budget couples the
-files. The global optimum is a water-filling solution whose
-water level (the budget's dual variable) is solved exactly from the sorted
-breakpoints of the clipped budget sum; MPC (most popular first) and LCC
-(lowest secrecy level first) are greedy baselines.
+files. The global optimum is a water-filling solution whose water level
+(the budget's dual variable) is solved exactly from the sorted breakpoints
+of the clipped budget sum; MPC (most popular first) and LCC (lowest secrecy
+level first) are greedy baselines.
 """
 
 from dataclasses import dataclass
