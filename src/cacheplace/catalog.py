@@ -1,6 +1,7 @@
 """File population model: Zipf popularity, per-file secrecy levels, cache budget."""
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,12 @@ class FileCatalog:
         object.__setattr__(
             self, "secrecy_levels", np.asarray(self.secrecy_levels, float)
         )
+        for name in ("popularity", "secrecy_levels"):
+            value = getattr(self, name)
+            if value.ndim != 1:
+                raise CatalogError(f"{name} must be a 1-D array")
+            if not np.all(np.isfinite(value)):
+                raise CatalogError(f"{name} entries must be finite")
         if self.file_count < 1:
             raise CatalogError(f"file_count must be >= 1, got {self.file_count}")
         if len(self.secrecy_levels) != self.file_count:
@@ -55,9 +62,6 @@ class FileCatalog:
                 f"secrecy_levels has length {len(self.secrecy_levels)}, "
                 f"expected {self.file_count}"
             )
-        for name in ("popularity", "secrecy_levels"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise CatalogError(f"{name} entries must be finite")
         if np.any(self.popularity <= 0):
             raise CatalogError("popularity entries must all be positive")
         if abs(math.fsum(self.popularity) - 1.0) > 1e-12:
@@ -69,6 +73,9 @@ class FileCatalog:
                 "secrecy_levels must lie in [0, 1); a level of 1 forces a zero "
                 "caching probability"
             )
+        size = self.cache_size
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+            raise CatalogError(f"cache_size must be an integer, got {size!r}")
         if self.cache_size < 1:
             raise CatalogError(f"cache_size must be >= 1, got {self.cache_size}")
         if self.cache_size >= self.file_count:

@@ -2,45 +2,47 @@
 
 The public surface is SimConfig(trials, seed), SimEstimate and the per-file
 simulators simulate_file_hit and simulate_file_secrecy, which return one
-SimEstimate of per-file arrays (_file_estimates gives their half-widths); a
-caller weights them for an aggregate.
+SimEstimate of per-file arrays; a caller weights them for an aggregate.
 
-Each trial samples one realization of the base-station and eavesdropper
-point processes in a window sized from the network parameters alone (see
-_window_radius), applies the exact guard-zone rule (a BS switches to
-artificial noise whenever any eavesdropper lies within the guard radius of
-it, unlike the independent-thinning approximation the closed forms use),
-draws unit-mean exponential fades, and tests the SIR event at the origin.
+A trial is one realization of the base-station (BS) and eavesdropper PPPs
+under the exact guard-zone rule: a BS sends artificial noise whenever an
+eavesdropper lies within the guard radius of it (the closed forms thin
+independently instead). Every BS transmits at full power, so all of them
+interfere; the marks only decide which BSs may serve, and the transmit
+power cancels from every SIR. No fades are drawn: a trial scores each file
+by its success probability given the positions (conditional Monte Carlo).
+Under Rayleigh fading the serving BS s clears the threshold theta with
+probability prod_{j != s} 1 / (1 + theta (r_s / r_j)^alpha), and over the
+BSs beyond the last one drawn, a PPP outside some radius, the product has
+an exact mean from the PPP's probability generating functional
+(_far_field). The score has the mean of the 0/1 SIR event, with less
+variance.
 
-Trials run in blocks of rows, one trial per row; each block has its own
-generator, keyed on (seed, block index), so results depend only on the seed
-and the trial count (which sets the length of the last block). A block's
-base stations are drawn already in distance order: their squared distances
-are sorted uniforms built from cumulative sums of exponentials, so no trial
-sorts anything.
+Trials run in blocks of _BLOCK_ROWS rows. A block draws the BSs nearest the
+origin in chunks of _CHUNK per row, continuing each row's partial sums of
+unit exponentials (pi lam r^2, in distance order), with the eavesdroppers
+that a guard check from those BSs can see. Chunk c of block b has its own
+generator, keyed on (seed, b, c), and is drawn for every row, so the draws
+depend only on the seed and the trial count, never on p. Chunks are drawn
+while some row has an unserved file and has not passed the reach (_reach);
+a file with no eligible BS within reach scores 0 for hit and 1 for secrecy.
 
-Every file of a call is resolved from the same scene per trial (common
-random numbers): one caching uniform per BS decides which files it holds,
-and one vectorised walk per block, over the BSs in distance order, finds
-each file's serving transmitter in every trial. The hit and secrecy
-simulators share the draw and the walk; they differ only in the exclusion
-disk around the origin and the SIR threshold. A scene's draws do not depend
-on the caching probabilities, so a whole grid of p (the files of a
-placement, or the points of a sweep) is resolved from one scene set, and
-each entry equals a one-file call at its own p with the same seed.
-
-Because every BS transmits at full power (a file, another file, or
-artificial noise), the total received power at the origin is the same sum
-over all BSs regardless of the guard-zone marks; the marks only decide which
-BSs are eligible serving or wiretapped transmitters. The transmit power
-cancels from every SIR and never enters the computation.
+All files of a trial share its scene (common random numbers): one caching
+uniform per BS decides which files it holds, so the serving BSs are the
+records of a prefix-minimum walk over the eligible BSs, each serving the
+files with p in (its uniform, the previous record's uniform]; only records
+get a guard check. A record's product stops at the end of its chunk, so a
+file's score depends only on the scene and its own p: entry i of a call
+equals a one-file call at p[i] with the same seed, bit for bit.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+
+from .special import hyp2f1_1b
 
 __all__ = [
     "SimConfig",
@@ -50,26 +52,23 @@ __all__ = [
 ]
 
 
-# Expected base stations in an automatically sized window, at the least.
+# Nearest base stations a chunk adds to each row.
+_CHUNK = 64
+# Trials per block: a chunk of a block holds 2^14 base stations.
+_BLOCK_ROWS = 2**14 // _CHUNK
+# Expected base stations within reach, at the least.
 _MIN_EXPECTED_BS = 1000
-# Expected draws of the larger point process (base stations or
-# eavesdroppers) per block of trials: the block's working set stays at a few
-# MB whatever the window and densities.
-_BLOCK_DRAWS = 2**14
-# Expected points of one trial, at the most: a scene must fit in memory.
-_MAX_POINTS_PER_TRIAL = 10**6
-# Nearest base stations the walk looks at first, doubled while some trial
-# of the block still has an unserved file.
-_FIRST_COLUMNS = 32
+# Expected points of a block's first chunk, its largest, at the most.
+_MAX_CHUNK_POINTS = 10**6
 
 
 class SimulationConfigError(ValueError):
-    """Simulation window or trial configuration is unusable."""
+    """Simulation reach or trial configuration is unusable."""
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Trial count and seed; the window is sized from the network parameters."""
+    """Trial count and seed; the reach is set by the network parameters."""
 
     trials: int = 10_000
     seed: int = 0
@@ -95,169 +94,151 @@ class SimEstimate:
 
     @classmethod
     def from_mean(cls, mean, trials):
-        """Wald's half-width 1.96 sqrt(m (1 - m) / n) at each mean m."""
+        """Half-width 1.96 sqrt(m (1 - m) / n), which bounds any score in [0, 1]."""
         half = 1.96 * np.sqrt(mean * (1.0 - mean) / trials)
         return cls(estimate=mean, trials=trials, ci95_halfwidth=half)
 
 
-def _window_radius(params):
-    """Radius of the observation disk, from the network parameters alone.
+def _reach(params):
+    """pi lam R^2 of the reach R, checking that a chunk fits in memory.
 
-    Room for _MIN_EXPECTED_BS base stations and ten mean nearest-neighbor
-    distances, or twice the guard radius if that is not beyond it; a trial
-    must fit in _MAX_POINTS_PER_TRIAL expected points.
+    R holds _MIN_EXPECTED_BS expected base stations, or is twice the guard
+    radius if that is not beyond it.
     """
-    by_count = math.sqrt(_MIN_EXPECTED_BS / (math.pi * params.bs_density))
-    by_spacing = 10.0 / (2.0 * math.sqrt(params.bs_density))
-    radius = max(by_count, by_spacing)
-    if radius <= params.guard_radius:
-        radius = 2.0 * params.guard_radius
-    points = sum(_expected_points(params, radius))
-    if not points <= _MAX_POINTS_PER_TRIAL:
+    lam_pi = math.pi * params.bs_density
+    rho = math.sqrt(_CHUNK / lam_pi)  # mean radius of a first chunk
+    eav = params.eaves_density * math.pi * (rho + params.guard_radius) ** 2
+    points = _BLOCK_ROWS * (_CHUNK + eav)
+    if not points <= _MAX_CHUNK_POINTS:
         raise SimulationConfigError(
-            f"a trial would draw {points:.3g} points on average; at most "
-            f"{_MAX_POINTS_PER_TRIAL:.0e} fit in memory"
+            f"a chunk would draw {points:.3g} points on average; at most "
+            f"{_MAX_CHUNK_POINTS:.0e} fit in memory"
         )
-    return radius
+    guard = lam_pi * params.guard_radius**2
+    return _MIN_EXPECTED_BS if guard < _MIN_EXPECTED_BS else 4.0 * guard
 
 
-def _expected_points(params, radius):
-    """Expected base stations in the disk and eavesdroppers in its square."""
-    return (
-        math.pi * params.bs_density * radius**2,
-        4.0 * params.eaves_density * radius**2,
-    )
+def _draw_chunk(seed, block, chunk, params, start):
+    """Chunk `chunk` of block `block`; returns (s, cache_u, angle, eav).
 
-
-def _block_rows(params, radius):
-    """Trials per block: about _BLOCK_DRAWS points of the larger process."""
-    return max(1, round(_BLOCK_DRAWS / max(_expected_points(params, radius))))
-
-
-def _scene_blocks(params, radius, seed, trials):
-    """The scenes of trials 0, ..., trials - 1, one block of rows at a time.
-
-    Block b is drawn by its own generator, keyed on (seed, b); a block's
-    draws depend on the seed, the block index and its row count (the last
-    block may be short), never on the caching probabilities.
+    Row t of s continues trial t's partial sums of unit exponentials from
+    start[t] (0 before the first chunk) for _CHUNK more BSs: s = pi lam r^2.
+    Each BS gets a caching uniform and an angle. eav holds, as complex
+    positions padded with nan, a Poisson number of uniform eavesdroppers in
+    the annulus (rho_start + D, rho_end + D], a disk for the first chunk;
+    it has no columns when no guard zone can mute.
     """
-    rows = _block_rows(params, radius)
-    for block, start in enumerate(range(0, trials, rows)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
-        yield _draw_block(rng, params, radius, min(rows, trials - start))
-
-
-def _draw_block(rng, params, radius, rows):
-    """Scenes of `rows` trials; returns (dist2, cache_u, fade, angle, eav).
-
-    Row t holds trial t's base stations in distance order, nearest first:
-    their count is Poisson with mean density * pi * radius^2, and the row is
-    padded to the block's largest count with dist2 = cache_u = inf, so that
-    a padding entry adds no power and caches no file. The squared distances
-    of n uniform points in the disk are radius^2 times n sorted uniforms,
-    drawn already sorted as U_(k) = S_k / S_(n+1) from the partial sums S of
-    n + 1 unit exponentials. Each base station also gets a caching uniform,
-    a unit-mean exponential fade and a uniform angle. eav holds each trial's
-    eavesdroppers as complex positions, padded with nan: a Poisson number of
-    uniform points in the enclosing square, of which those outside the disk
-    are padding too.
-    """
-    area = math.pi * radius**2
-    bs_count = rng.poisson(params.bs_density * area, rows)
-    eav_count = rng.poisson(params.eaves_density * 4.0 * radius**2, rows)
-    width = bs_count.max()
-    sums = np.cumsum(rng.standard_exponential((rows, width + 1)), axis=1)
-    real = np.arange(width) < bs_count[:, None]
-    scale = radius**2 / sums[np.arange(rows), bs_count]
-    dist2 = np.where(real, sums[:, :width] * scale[:, None], np.inf)
-    cache_u = np.where(real, rng.random((rows, width)), np.inf)
-    fade = rng.standard_exponential((rows, width))
-    angle = 2.0 * math.pi * rng.random((rows, width))
-    # Uniform points in the enclosing square, kept inside the disk.
-    square = radius * (2.0 * rng.random((rows, eav_count.max(), 2)) - 1.0)
-    eav = square.view(complex)[..., 0]
-    padding = np.arange(eav.shape[1]) >= eav_count[:, None]
-    eav[padding | (np.abs(eav) > radius)] = np.nan
-    return dist2, cache_u, fade, angle, eav
-
-
-def _block_successes(scene, params, tail_mean, p_asc, exclusion2, threshold):
-    """Per file, the trials of one block whose serving BS clears the threshold.
-
-    p_asc holds positive caching probabilities in ascending order. A file
-    is served by the nearest BS beyond the exclusion disk (squared radius
-    exclusion2) that caches it (cache_u < p) and is not muted by an
-    eavesdropper within its guard radius; a file with no such BS in the
-    window fails. Because the caching uniforms are shared, the serving BS
-    of p is the first record (an eligible BS whose cache_u is below that of
-    every eligible BS nearer the origin) with cache_u < p, and each record
-    serves the files with p in (its cache_u, the previous record's cache_u].
-    Records are found by a prefix minimum over the nearest columns, widened
-    while some trial still has an unserved file; only records get a
-    guard-zone check, and the records are found again after any is muted.
-    """
-    dist2, cache_u, fade, angle, eav = scene
-    # Every BS transmits, so the total power at the origin ignores the marks.
-    power = fade * dist2 ** (-params.alpha / 2.0)
-    total_power = power.sum(axis=1) + tail_mean
-    eligible = (cache_u < p_asc[-1]) & (dist2 > exclusion2)
-    checked = np.zeros_like(eligible)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block, chunk)))
+    rows = len(start)
+    s = start[:, None] + np.cumsum(rng.standard_exponential((rows, _CHUNK)), axis=1)
+    cache_u = rng.random((rows, _CHUNK))
+    angle = 2.0 * math.pi * rng.random((rows, _CHUNK))
     guard = params.guard_radius
-    mutes = guard > 0.0 and eav.shape[1] > 0
-    width = dist2.shape[1]
-    columns = min(_FIRST_COLUMNS, width)
-    while True:
-        u = np.where(eligible[:, :columns], cache_u[:, :columns], np.inf)
-        before = np.full_like(u, np.inf)  # prefix minimum of the nearer BSs
-        np.minimum.accumulate(u[:, :-1], axis=1, out=before[:, 1:])
-        record = (u < before) & (before >= p_asc[0])
-        if mutes:
-            rows, cols = np.nonzero(record & ~checked[:, :columns])
-            checked[rows, cols] = True
-            bs = np.sqrt(dist2[rows, cols]) * np.exp(1j * angle[rows, cols])
-            muted = (np.abs(eav[rows] - bs[:, None]) < guard).any(axis=1)
-            if muted.any():
-                eligible[rows[muted], cols[muted]] = False
-                continue
-        if columns < width and (u.min(axis=1) >= p_asc[0]).any():
-            columns = min(2 * columns, width)
-            continue
-        break
-    rows, cols = np.nonzero(record)
-    signal = power[rows, cols]
-    success = signal > threshold * (total_power[rows] - signal)
-    first = np.searchsorted(p_asc, cache_u[rows, cols][success], side="right")
-    last = np.searchsorted(p_asc, before[rows, cols][success], side="right")
-    bins = len(p_asc) + 1
-    served = np.bincount(first, minlength=bins) - np.bincount(last, minlength=bins)
-    return np.cumsum(served)[:-1]
+    if not (guard > 0.0 and params.eaves_density > 0.0):
+        return s, cache_u, angle, np.empty((rows, 0), complex)
+    lam_pi = math.pi * params.bs_density
+    inner2 = (np.sqrt(start / lam_pi) + guard) ** 2 if chunk else np.zeros(rows)
+    area = (np.sqrt(s[:, -1] / lam_pi) + guard) ** 2 - inner2
+    count = rng.poisson(params.eaves_density * math.pi * area)
+    width = count.max()
+    radius = np.sqrt(inner2[:, None] + area[:, None] * rng.random((rows, width)))
+    phase = 2.0 * math.pi * rng.random((rows, width))
+    eav = np.empty((rows, width), complex)
+    eav.real, eav.imag = radius * np.cos(phase), radius * np.sin(phase)
+    eav[np.arange(width) >= count[:, None]] = np.nan
+    return s, cache_u, angle, eav
 
 
-def _success_counts(p, params, cfg, exclusion_radius, threshold):
-    """Per file, the number of trials whose serving BS clears the SIR threshold.
+def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold):
+    """(u, before, v) of every record of one block, in (chunk, row) order.
 
-    Every file of a trial is resolved from the same scene. A call where no
-    file is ever cached draws no scene.
+    A record with caching uniform u serves the files with p in (u, before];
+    v is its conditional success probability. exclusion and reach bound the
+    eligible BSs in units of pi lam r^2. Chunks are drawn while some row
+    has no record below p_min yet and has not passed the reach; each chunk
+    is walked only by those rows, from each row's running minimum.
     """
-    radius = _window_radius(params)
+    half_alpha = params.alpha / 2.0
+    powers, eavs, found = [], [], []  # per chunk: s^(alpha/2), eavesdroppers
+    start = np.zeros(rows)
+    best = np.full(rows, np.inf)  # minimum uniform of the eligible BSs so far
+    open_rows = np.arange(rows)
+    while open_rows.size:
+        chunk = len(powers)
+        s, cache_u, angle, eav = _draw_chunk(seed, block, chunk, params, start)
+        powers.append(s**half_alpha)
+        eavs.append(eav)
+        start = s[:, -1]
+        s, cache_u, angle = s[open_rows], cache_u[open_rows], angle[open_rows]
+        u = np.where((s > exclusion) & (s <= reach), cache_u, np.inf)
+        checked = np.zeros(u.shape, bool)
+        while True:
+            before = np.minimum.accumulate(
+                np.column_stack([best[open_rows], u[:, :-1]]), axis=1
+            )
+            record = (u < before) & (before >= p_min)
+            row, col = np.nonzero(record & ~checked)
+            near = np.concatenate([e[open_rows[row]] for e in eavs], axis=1)
+            if not near.size:
+                break  # nothing left to check, or no guard zone can mute
+            checked[row, col] = True
+            radius = np.sqrt(s[row, col] / (math.pi * params.bs_density))
+            gap = near - (radius * np.exp(1j * angle[row, col]))[:, None]
+            muted = (gap.real**2 + gap.imag**2 < params.guard_radius**2).any(axis=1)
+            if not muted.any():
+                break
+            u[row[muted], col[muted]] = np.inf
+        row, col = np.nonzero(record)
+        server = threshold * powers[-1][open_rows[row], col]
+        drawn = np.concatenate([c[open_rows[row]] for c in powers], axis=1)
+        factor = server[:, None] / drawn  # theta (r_s / r_j)^alpha
+        factor[np.arange(row.size), chunk * _CHUNK + col] = 0.0  # the server
+        found.append((u[row, col], before[row, col], server / drawn[:, -1],
+                      s[row, -1], np.log1p(factor).sum(axis=1)))
+        best[open_rows] = np.minimum(best[open_rows], u.min(axis=1))
+        open_rows = open_rows[(best[open_rows] >= p_min) & (start[open_rows] < reach)]
+    u, before, x, s_last, log_sum = map(np.concatenate, zip(*found))
+    return u, before, np.exp(-(log_sum + _far_field(x, s_last, params.alpha)))
+
+
+def _far_field(x, s_last, alpha):
+    """-log of the mean success factor of the BSs beyond the last one drawn.
+
+    They form a PPP outside the radius rho with pi lam rho^2 = s_last. For a
+    server at x = theta (r_s / rho)^alpha, its probability generating
+    functional gives pi lam rho^2 2x / (alpha - 2) 2F1(1, 1 - delta; 2 - delta; -x).
+    """
+    return s_last * 2.0 * x / (alpha - 2.0) * hyp2f1_1b(1.0 - 2.0 / alpha, -x)
+
+
+def _value_sums(p, params, cfg, exclusion, threshold):
+    """Per file, the sum and the sum of squares of the trials' success values.
+
+    Only BSs beyond exclusion, in units of pi lam r^2, may serve. Every file
+    of a trial is resolved from the same scene; a file with no server in a
+    trial adds 0. A call where no file is ever cached draws no scene.
+    """
+    reach = _reach(params)
     files = np.argsort(p, kind="stable")
     files = files[p[files] > 0.0]
-    counts = np.zeros(len(p))
+    sums = np.zeros((2, len(p)))
     if len(files):
-        # Beyond-window interferers are replaced by their exact mean,
-        # 2 pi lambda R^(2-alpha) / (alpha - 2): with alpha close to 2 the
-        # truncated far field is not negligible at any affordable radius and
-        # would bias every SIR upward by more than the Monte Carlo error.
-        tail_mean = (
-            2.0 * math.pi * params.bs_density * radius ** (2.0 - params.alpha)
-            / (params.alpha - 2.0)
-        )
-        exclusion2 = -np.inf if exclusion_radius is None else exclusion_radius**2
-        for scene in _scene_blocks(params, radius, cfg.seed, cfg.trials):
-            counts[files] += _block_successes(
-                scene, params, tail_mean, p[files], exclusion2, threshold
+        p_asc = p[files]
+        for block, first_trial in enumerate(range(0, cfg.trials, _BLOCK_ROWS)):
+            rows = min(_BLOCK_ROWS, cfg.trials - first_trial)
+            u, before, v = _block_records(
+                cfg.seed, block, rows, params, reach, p_asc[0], exclusion, threshold
             )
-    return counts
+            # Expand each record into its (record, file) pairs; bincount adds
+            # each file's values in record order, whatever the other files.
+            first = np.searchsorted(p_asc, u, side="right")
+            count = np.searchsorted(p_asc, before, side="right") - first
+            record = np.repeat(np.arange(len(v)), count)
+            offset = np.cumsum(count) - count - first
+            file = np.arange(len(record)) - offset[record]
+            for k, weights in enumerate((v[record], v[record] ** 2)):
+                sums[k, files] += np.bincount(file, weights, minlength=len(files))
+    return sums
 
 
 def _file_probabilities(p):
@@ -267,44 +248,54 @@ def _file_probabilities(p):
     return p
 
 
-def _file_estimates(p, successes, trials):
-    """Per-file estimates with Wald's half-width, except at 0 or n successes.
+def _file_estimates(p, sums, trials, complement):
+    """Per-file mean values (1 minus them if complement) with 1.96 s / sqrt(n).
 
-    There Wald's half-width is 0, so a simulated file (p > 0) gets the exact
-    Clopper-Pearson one, 1 - 0.025^(1/n); a file with p = 0 is exact.
+    s^2 is the values' sample variance, bounded by m (1 - m) at n = 1. At an
+    estimate of exactly 0 or 1 a simulated file (p > 0) gets the exact
+    Clopper-Pearson half-width of 0 or n successes, 1 - 0.025^(1/n), which
+    holds for any score in [0, 1]; a file with p = 0 is exact.
     """
-    est = SimEstimate.from_mean(successes / trials, trials)
-    edge = (p > 0.0) & ((successes == 0) | (successes == trials))
-    exact = 1.0 - 0.025 ** (1.0 / trials)
-    return replace(est, ci95_halfwidth=np.where(edge, exact, est.ci95_halfwidth))
+    total, squares = sums
+    mean = total / trials
+    estimate = 1.0 - mean if complement else mean
+    if trials > 1:
+        variance = np.maximum(squares - total * mean, 0.0) / (trials - 1)
+    else:
+        variance = mean * (1.0 - mean)
+    half = 1.96 * np.sqrt(variance / trials)
+    edge = (p > 0.0) & ((estimate == 0.0) | (estimate == 1.0))
+    half = np.where(edge, 1.0 - 0.025 ** (1.0 / trials), half)
+    return SimEstimate(estimate=estimate, trials=trials, ci95_halfwidth=half)
 
 
 def simulate_file_hit(p, params, cfg):
-    """Empirical hit probability of each file, cached with probability p[i].
+    """Hit probability of each file, cached with probability p[i].
 
     Per trial and file, the typical user at the origin associates with the
     nearest BS that caches the file and is not muted by its guard zone; the
-    request hits iff the SIR from that BS exceeds the user threshold. A trial
-    with no eligible transmitter in the window counts as a miss. All files
-    share each trial's scene, and a scene's draws do not depend on p, so
-    entry i equals a one-file call at p[i] with the same seed.
+    trial scores the probability that the SIR from that BS exceeds the user
+    threshold given the positions, or 0 if no eligible BS lies within reach.
+    All files share each trial's scene, and a scene's draws do not depend on
+    p, so entry i equals a one-file call at p[i] with the same seed.
     """
     p = _file_probabilities(p)
-    hits = _success_counts(p, params, cfg, None, params.gamma_u)
-    return _file_estimates(p, hits, cfg.trials)
+    sums = _value_sums(p, params, cfg, -np.inf, params.gamma_u)
+    return _file_estimates(p, sums, cfg.trials, complement=False)
 
 
 def simulate_file_secrecy(p, params, cfg):
-    """Empirical secrecy probability of each file, cached with probability p[i].
+    """Secrecy probability of each file, cached with probability p[i].
 
     The typical eavesdropper sits at the origin, which places every BS
     within the guard radius of the origin into artificial-noise mode. The
     wiretapped BS is the nearest transmitter of the file outside that disk;
-    the file stays secret iff the eavesdropper's SIR falls below gamma_e, or
-    trivially if no eligible transmitter exists in the window. As in
-    simulate_file_hit, entry i equals a one-file call at p[i] with the same
-    seed.
+    the trial scores the probability that the eavesdropper's SIR falls below
+    gamma_e given the positions, or 1 if no eligible transmitter lies within
+    reach. As in simulate_file_hit, entry i equals a one-file call at p[i]
+    with the same seed.
     """
     p = _file_probabilities(p)
-    wiretapped = _success_counts(p, params, cfg, params.guard_radius, params.gamma_e)
-    return _file_estimates(p, cfg.trials - wiretapped, cfg.trials)
+    guard = math.pi * params.bs_density * params.guard_radius**2
+    sums = _value_sums(p, params, cfg, guard, params.gamma_e)
+    return _file_estimates(p, sums, cfg.trials, complement=True)

@@ -7,6 +7,7 @@ import pytest
 
 from cacheplace.catalog import (
     CatalogError,
+    FileCatalog,
     PlacementPolicy,
     make_catalog,
     sample_secrecy_levels,
@@ -91,6 +92,30 @@ class TestMakeCatalog:
     def test_length_mismatch(self):
         with pytest.raises(CatalogError):
             make_catalog(4, 0.7, [0.1, 0.2], 2)
+
+    @pytest.mark.parametrize(
+        "popularity, levels, cache_size, field",
+        [
+            ([0.5, 0.5], [0.1, 0.2], 1.5, "cache_size"),
+            ([0.5, 0.5], [0.1, 0.2], 1.0, "cache_size"),
+            ([0.5, 0.5], [0.1, 0.2], True, "cache_size"),
+            ([0.5, 0.5], [0.1, 0.2], "1", "cache_size"),
+            (1.0, [0.1], 1, "popularity"),
+            ([[0.5, 0.5]], [0.1, 0.2], 1, "popularity"),
+            ([0.5, 0.5], [[0.1, 0.2]], 1, "secrecy_levels"),
+            ([0.5, 0.5], 0.1, 1, "secrecy_levels"),
+        ],
+        ids=["fractional_C", "float_C", "bool_C", "str_C", "0d_popularity",
+             "2d_popularity", "2d_levels", "0d_levels"],
+    )
+    def test_malformed_fields_rejected(self, popularity, levels, cache_size, field):
+        with pytest.raises(CatalogError, match=field):
+            FileCatalog(popularity, levels, cache_size)
+
+    def test_fractional_budget_rejected(self):
+        with pytest.raises(CatalogError, match="cache_size must be an integer"):
+            make_catalog(3, 0.5, [0.1, 0.2, 0.3], 2.5)
+        assert make_catalog(3, 0.5, [0.1, 0.2, 0.3], np.int64(2)).cache_size == 2
 
     def test_immutability(self):
         cat = make_catalog(5, 0.7, [0.1] * 5, 2)

@@ -1,9 +1,11 @@
 """Tests for the Monte Carlo network simulator."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from cacheplace import simulator
 from cacheplace.analytic import NetworkParams, conditional_hit_probability, db_to_linear
@@ -11,14 +13,14 @@ from cacheplace.simulator import (
     SimConfig,
     SimEstimate,
     SimulationConfigError,
-    _block_rows,
-    _draw_block,
-    _scene_blocks,
+    _draw_chunk,
+    _far_field,
     simulate_file_hit,
     simulate_file_secrecy,
 )
 
 BS_DENSITY = 1.0 / 800.0**2
+LAM_PI = math.pi * BS_DENSITY
 
 
 def default_params(**overrides):
@@ -34,66 +36,94 @@ def default_params(**overrides):
     return NetworkParams(**kwargs)
 
 
-class TestBlockDraw:
-    RADIUS = 5_000.0
+def draw_chunks(seed, block, chunks, rows, params):
+    """The first `chunks` chunks of a block, each continuing the one before."""
+    drawn, start = [], np.zeros(rows)
+    for chunk in range(chunks):
+        drawn.append(_draw_chunk(seed, block, chunk, params, start))
+        start = drawn[-1][0][:, -1]
+    return drawn
 
-    def draw(self, seed, rows=3_000, **overrides):
-        rng = np.random.default_rng(seed)
-        return _draw_block(rng, default_params(**overrides), self.RADIUS, rows)
+
+class TestBlockDraw:
+    def draw(self, seed, rows=3_000, chunks=2, **overrides):
+        return draw_chunks(seed, 0, chunks, rows, default_params(**overrides))
 
     def test_zero_density_is_empty(self):
-        *_, eav = self.draw(0, rows=5, eaves_density=0.0)
+        (*_, eav), = self.draw(0, rows=5, chunks=1, eaves_density=0.0)
         assert eav.shape == (5, 0)
 
     def test_mean_count(self):
-        dist2, cache_u, _, _, eav = self.draw(1)
-        area = math.pi * self.RADIUS**2
-        counts = np.isfinite(dist2).sum(axis=1)
-        assert np.mean(counts) == pytest.approx(BS_DENSITY * area, rel=0.02)
-        eav_counts = np.isfinite(eav).sum(axis=1)
-        assert np.mean(eav_counts) == pytest.approx(BS_DENSITY / 5.0 * area, rel=0.03)
-        # Padding caches no file.
-        assert np.array_equal(np.isfinite(cache_u), np.isfinite(dist2))
-        real = cache_u[np.isfinite(cache_u)]
-        assert np.all((real >= 0.0) & (real < 1.0))
+        # Each chunk adds _CHUNK BSs per row, and a Poisson number of
+        # eavesdroppers with mean lambda_e times the area of its annulus.
+        params = default_params()
+        inner2 = np.zeros(3_000)
+        for s, cache_u, _, eav in self.draw(1):
+            assert s.shape == cache_u.shape == (3_000, simulator._CHUNK)
+            outer2 = (np.sqrt(s[:, -1] / LAM_PI) + params.guard_radius) ** 2
+            mean = params.eaves_density * math.pi * (outer2 - inner2)
+            counts = np.isfinite(eav).sum(axis=1)
+            assert np.mean(counts) == pytest.approx(np.mean(mean), rel=0.03)
+            assert np.all((cache_u >= 0.0) & (cache_u < 1.0))
+            inner2 = outer2
 
     def test_distance_order_inside_window(self):
-        dist2, _, _, angle, eav = self.draw(2)
-        for row in dist2:
-            real = row[np.isfinite(row)]
-            assert np.all(np.diff(real) >= 0.0)
-            assert np.all(np.isinf(row[len(real):]))  # padding trails the row
-        finite = dist2[np.isfinite(dist2)]
-        assert finite.min() > 0.0 and finite.max() <= self.RADIUS**2 * (1.0 + 1e-12)
+        # Distances increase along a row and across chunks, and a chunk's
+        # eavesdroppers lie in its annulus (rho_prev + D, rho + D].
+        guard = default_params().guard_radius
+        (s0, _, angle, eav0), (s1, _, _, eav1) = self.draw(2)
+        row = np.hstack([s0, s1])
+        assert np.all(np.diff(row, axis=1) > 0.0) and np.all(row[:, 0] > 0.0)
         assert np.all((angle >= 0.0) & (angle < 2.0 * math.pi))
-        assert np.all(np.abs(eav[np.isfinite(eav)]) <= self.RADIUS)
+        rho0, rho1 = np.sqrt(s0[:, -1] / LAM_PI), np.sqrt(s1[:, -1] / LAM_PI)
+        for eav, inner, outer in ((eav0, 0.0, rho0 + guard), (eav1, rho0 + guard, rho1 + guard)):
+            radius = np.where(np.isfinite(eav), np.abs(eav), np.nan)
+            real = np.isfinite(radius)
+            assert np.all(np.isnan(radius[:, 1:]) >= np.isnan(radius[:, :-1]))  # padding trails
+            outer = np.broadcast_to(np.reshape(outer, (-1, 1)), radius.shape)
+            inner = np.broadcast_to(np.reshape(inner, (-1, 1)), radius.shape)
+            assert np.all(radius[real] <= outer[real] * (1.0 + 1e-12))
+            assert np.all(radius[real] >= inner[real] * (1.0 - 1e-12))
 
     def test_mean_nearest_distance(self):
         # The nearest of a PPP has r^2 exponential with mean 1 / (lambda pi).
-        dist2, _, _, _, _ = self.draw(3)
-        nearest = dist2[:, 0]
+        ((s, *_),) = self.draw(3, chunks=1)
+        nearest = s[:, 0] / LAM_PI
         stderr = nearest.std() / math.sqrt(len(nearest))
         assert abs(nearest.mean() - 1.0 / (BS_DENSITY * math.pi)) <= 3.0 * stderr
 
     def test_seed_determinism(self):
         a, b = self.draw(7, rows=20), self.draw(7, rows=20)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y, equal_nan=True)
+        for chunk_a, chunk_b in zip(a, b):
+            for x, y in zip(chunk_a, chunk_b):
+                assert np.array_equal(x, y, equal_nan=True)
         c = self.draw(8, rows=20)
-        assert not np.array_equal(a[0], c[0])
+        assert not np.array_equal(a[0][0], c[0][0])
 
-    def test_blocks_are_keyed_on_seed_and_index(self):
-        params = default_params()
-        radius = simulator._window_radius(params)
-        rows = _block_rows(params, radius)
-        assert rows == 16  # 2^14 draws over 1000 expected BSs per trial
-        whole = list(_scene_blocks(params, radius, 5, 2 * rows + 3))
-        assert [len(block[0]) for block in whole] == [rows, rows, 3]
-        # A block depends on its own key, not on the blocks before it.
-        again = list(_scene_blocks(params, radius, 5, 2 * rows))
-        assert np.array_equal(whole[1][0], again[1][0])
-        other = list(_scene_blocks(params, radius, 6, 2 * rows))
-        assert not np.array_equal(whole[1][0], other[1][0])
+    def test_blocks_are_keyed_on_seed_and_index(self, monkeypatch):
+        assert simulator._BLOCK_ROWS == 256  # 2^14 BSs per chunk of a block
+        params, start = default_params(), np.zeros(4)
+        key = _draw_chunk(5, 1, 1, params, start)[1]
+        assert np.array_equal(key, _draw_chunk(5, 1, 1, params, start)[1])
+        for other in ((6, 1, 1), (5, 2, 1), (5, 1, 0)):
+            assert not np.array_equal(key, _draw_chunk(*other, params, start)[1])
+        # Blocks of 256 rows, a short last one, each drawing its chunks in
+        # order; every row of a block gets each chunk.
+        calls = []
+
+        def spy(seed, block, chunk, params, start):
+            calls.append((seed, block, chunk, len(start)))
+            return draw(seed, block, chunk, params, start)
+
+        draw = simulator._draw_chunk
+        monkeypatch.setattr(simulator, "_draw_chunk", spy)
+        simulate_file_hit([0.5], params, SimConfig(trials=2 * 256 + 3, seed=5))
+        assert {(seed, block, rows) for seed, block, _, rows in calls} == {
+            (5, 0, 256), (5, 1, 256), (5, 2, 3)
+        }
+        for block in range(3):
+            chunks = [chunk for _, b, chunk, _ in calls if b == block]
+            assert chunks == list(range(len(chunks)))
 
 
 class TestConfigAndEstimate:
@@ -104,7 +134,7 @@ class TestConfigAndEstimate:
             SimConfig(seed=-1)
 
     def test_scene_must_fit_in_memory(self):
-        # 1000 eavesdroppers per BS would put ~1.3e6 points in each trial.
+        # 1000 eavesdroppers per BS would put ~1.8e7 points in a first chunk.
         params = default_params(eaves_density=1000.0 * BS_DENSITY)
         with pytest.raises(SimulationConfigError, match="fit in memory"):
             simulate_file_hit([0.5], params, SimConfig(trials=1))
@@ -115,8 +145,8 @@ class TestConfigAndEstimate:
         assert SimEstimate.from_mean(0.0, 100).ci95_halfwidth == 0.0
 
     def test_exact_halfwidth_at_zero_or_all_successes(self):
-        # Wald's half-width is 0 at 0 or n successes; a simulated file there
-        # gets the exact Clopper-Pearson one, 1 - 0.025^(1/n). Files with
+        # At an estimate of 0 or 1 the sample variance is 0; a simulated file
+        # there gets the exact Clopper-Pearson one, 1 - 0.025^(1/n). Files with
         # p = 0 are exact (hit 0, secrecy 1) and keep a zero half-width.
         params, cfg = default_params(), SimConfig(trials=5, seed=2)
         exact = 1.0 - 0.025 ** (1.0 / 5)
@@ -129,11 +159,21 @@ class TestConfigAndEstimate:
         assert exact > 0.5
 
     def test_wald_halfwidth_between_the_edges(self):
-        cfg = SimConfig(trials=400, seed=3)
-        est = simulate_file_hit([0.5], default_params(), cfg)
+        # 1.96 s / sqrt(n), with s the sample deviation of the trials' values.
+        params, cfg = default_params(), SimConfig(trials=400, seed=3)
+        est = simulate_file_hit([0.5], params, cfg)
+        values = np.nan_to_num(per_trial_reference([0.5], params, cfg, None, params.gamma_u))
+        assert 0.0 < est.estimate[0] < 1.0
+        assert est.ci95_halfwidth[0] == pytest.approx(
+            1.96 * values[:, 0].std(ddof=1) / math.sqrt(400), rel=1e-9
+        )
+
+    def test_single_trial_halfwidth(self):
+        # One trial has no sample variance; m (1 - m) bounds it.
+        est = simulate_file_hit([1.0], default_params(), SimConfig(trials=1, seed=4))
         m = est.estimate[0]
         assert 0.0 < m < 1.0
-        assert est.ci95_halfwidth[0] == 1.96 * math.sqrt(m * (1.0 - m) / 400)
+        assert est.ci95_halfwidth[0] == 1.96 * math.sqrt(m * (1.0 - m))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -156,6 +196,24 @@ class TestConfigAndEstimate:
     def test_config_accepts_numpy_integers(self):
         cfg = SimConfig(trials=np.int64(3), seed=np.uint64(2**64 - 1))
         assert simulate_file_hit([0.5], default_params(), cfg).trials == 3
+
+
+@pytest.mark.parametrize("alpha", [2.2, 3.0, 4.0])
+def test_far_field_matches_pgfl_quadrature(alpha):
+    # -log E prod_{r_j > rho} 1 / (1 + theta (r_s / r_j)^alpha) for a PPP
+    # outside rho is the integral over sigma = pi lam r^2 > s_last of
+    # 1 - 1 / (1 + x (s_last / sigma)^(alpha / 2)); with
+    # t = (sigma / s_last)^(1 - alpha / 2) it becomes a finite integral.
+    k = alpha / 2.0
+    s_last = 70.0
+    for x in [1e-4, 0.03, 0.3162, 1.0, 5.0, 300.0]:
+        integral, _ = integrate.quad(
+            lambda t: x / ((k - 1.0) * (1.0 + x * t ** (k / (k - 1.0)))),
+            0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        assert _far_field(np.array([x]), s_last, alpha)[0] == pytest.approx(
+            s_last * integral, rel=1e-10
+        )
 
 
 class TestSimulateHit:
@@ -185,8 +243,7 @@ class TestSimulateHit:
             assert abs(est - analytic) <= max(ci, 0.01)
 
     def test_monotone_in_placement_probability(self):
-        # Common random numbers across runs with the same seed make the hit
-        # indicator monotone in p trial by trial.
+        # A larger p is served by the same or a nearer BS of the same scenes.
         params = default_params()
         cfg = SimConfig(trials=2_000, seed=13)
         estimates = [
@@ -209,46 +266,80 @@ def assert_same_estimates(a, b):
     assert np.array_equal(a.ci95_halfwidth, b.ci95_halfwidth)
 
 
-def per_file_reference(p, params, cfg, exclusion_radius, threshold):
-    """Per-file success counts: each scene drawn here and walked once per file.
+def per_trial_reference(p, params, cfg, exclusion_radius, threshold):
+    """Per trial and file, the success value of the serving BS, nan if none.
 
-    The radius is read through the module, so a test that patches
-    simulator._window_radius patches it here too.
+    The scenes are the simulator's chunk draws, drawn here as far as a walk
+    needs them; each file is walked BS by BS, and its product over the BSs
+    drawn through the server's chunk and its generating-functional tail are
+    computed here. The reach is read through the module, so a test that
+    patches simulator._reach patches it here too.
     """
-    radius = simulator._window_radius(params)
-    alpha = params.alpha
-    tail_mean = (
-        2.0 * math.pi * params.bs_density * radius ** (2.0 - alpha) / (alpha - 2.0)
-    )
-    excluded = -1.0 if exclusion_radius is None else exclusion_radius**2
-    counts = np.zeros(len(p))
-    for dist2, cache_u, fade, angle, eav in _scene_blocks(
-        params, radius, cfg.seed, cfg.trials
-    ):
-        power = fade * dist2 ** (-alpha / 2.0)
-        for trial in range(len(dist2)):
-            total_power = power[trial].sum() + tail_mean
+    reach = simulator._reach(params)
+    alpha, chunk_size = params.alpha, simulator._CHUNK
+    delta = 2.0 / alpha
+    excluded = -1.0 if exclusion_radius is None else LAM_PI * exclusion_radius**2
+    values = np.full((cfg.trials, len(p)), np.nan)
+    for block, first in enumerate(range(0, cfg.trials, simulator._BLOCK_ROWS)):
+        rows = min(simulator._BLOCK_ROWS, cfg.trials - first)
+        chunks = []
+
+        def chunk(c):
+            while len(chunks) <= c:
+                start = chunks[-1][0][:, -1] if chunks else np.zeros(rows)
+                chunks.append(_draw_chunk(cfg.seed, block, len(chunks), params, start))
+            return chunks[c]
+
+        for trial in range(rows):
             for i, p_i in enumerate(p):
-                # The row is in distance order; padding never caches.
-                for b in range(dist2.shape[1]):
-                    if cache_u[trial, b] >= p_i or dist2[trial, b] <= excluded:
+                for k in itertools.count():
+                    c, col = divmod(k, chunk_size)
+                    s, cache_u, angle, _ = chunk(c)
+                    if s[trial, col] > reach:
+                        break  # no server within reach
+                    if cache_u[trial, col] >= p_i or s[trial, col] <= excluded:
                         continue
-                    position = np.sqrt(dist2[trial, b]) * np.exp(1j * angle[trial, b])
-                    if np.any(np.abs(eav[trial] - position) < params.guard_radius):
+                    position = math.sqrt(s[trial, col] / LAM_PI) * np.exp(1j * angle[trial, col])
+                    eav = np.concatenate([chunk(j)[3][trial] for j in range(c + 1)])
+                    if np.any(np.abs(eav - position) < params.guard_radius):
                         continue  # muted by its guard zone
-                    signal = power[trial, b]
-                    counts[i] += signal > threshold * (total_power - signal)
+                    drawn = np.concatenate([chunk(j)[0][trial] for j in range(c + 1)])
+                    others = np.delete(drawn, k)
+                    product = np.prod(1.0 / (1.0 + threshold * (drawn[k] / others) ** (alpha / 2)))
+                    x = threshold * (drawn[k] / drawn[-1]) ** (alpha / 2)
+                    tail = drawn[-1] * 2.0 * x / (alpha - 2.0) * special.hyp2f1(
+                        1.0, 1.0 - delta, 2.0 - delta, -x
+                    )
+                    values[first + trial, i] = product * math.exp(-tail)
                     break
-    return counts
+    return values
+
+
+def assert_estimates_match(est, scores, p):
+    """An estimate against per-trial scores: mean, and 1.96 s / sqrt(n).
+
+    The engine sums the values v, not the scores: a secrecy estimate
+    1 - mean(v) is good to about 1e-16 absolute, and where the variance is
+    tiny against the squared mean, a one-pass variance to about 1e-16 n.
+    """
+    n = len(scores)
+    mean = scores.mean(axis=0)
+    np.testing.assert_allclose(est.estimate, mean, rtol=1e-12, atol=1e-15)
+    if n == 1:
+        half = 1.96 * np.sqrt(mean * (1.0 - mean))
+    else:
+        half = 1.96 * scores.std(axis=0, ddof=1) / math.sqrt(n)
+    edge = (np.asarray(p) > 0.0) & ((mean == 0.0) | (mean == 1.0))
+    half = np.where(edge, 1.0 - 0.025 ** (1.0 / n), half)
+    np.testing.assert_allclose(est.ci95_halfwidth, half, rtol=1e-9, atol=1e-10)
 
 
 def assert_matches_reference(p, params, cfg):
-    hits = per_file_reference(p, params, cfg, None, params.gamma_u)
-    wiretapped = per_file_reference(p, params, cfg, params.guard_radius, params.gamma_e)
-    hit = simulate_file_hit(p, params, cfg)
-    assert hit.estimate.tolist() == list(hits / cfg.trials)
+    values = per_trial_reference(p, params, cfg, None, params.gamma_u)
+    assert_estimates_match(simulate_file_hit(p, params, cfg), np.nan_to_num(values), p)
+    values = per_trial_reference(p, params, cfg, params.guard_radius, params.gamma_e)
     secrecy = simulate_file_secrecy(p, params, cfg)
-    assert secrecy.estimate.tolist() == list((cfg.trials - wiretapped) / cfg.trials)
+    assert_estimates_match(secrecy, 1.0 - np.nan_to_num(values), p)
 
 
 def test_shared_walk_matches_per_file_reference():
@@ -258,27 +349,77 @@ def test_shared_walk_matches_per_file_reference():
     assert_matches_reference(p, params, cfg)
 
 
-@pytest.mark.parametrize("trials", [1, 15, 17, 49])
+@pytest.mark.parametrize("trials", [1, 255, 257, 769])
 def test_block_boundaries_match_reference(trials):
-    # 1, B - 1, B + 1 and 3B + 1 trials, at B = 16 rows per block.
+    # 1, B - 1, B + 1 and 3B + 1 trials, at B = 256 rows per block.
     params = default_params(guard_radius=600.0)
     cfg = SimConfig(trials=trials, seed=11)
     assert_matches_reference(np.array([0.1, 0.8, 0.35]), params, cfg)
 
 
 def test_sparse_window_matches_reference(monkeypatch):
-    # About 0.44 BSs per window: most rows of a block are empty padding.
-    monkeypatch.setattr(simulator, "_window_radius", lambda params: 300.0)
+    # A reach of 3 expected BSs: many rows have no server within it.
+    monkeypatch.setattr(simulator, "_reach", lambda params: 3.0)
     cfg = SimConfig(trials=40, seed=9)
     assert_matches_reference(np.array([0.3, 1.0]), default_params(), cfg)
 
 
 def test_rare_files_match_reference():
-    # Rare files are served far out, past the walk's first columns; at
-    # -50 dB thresholds such distant servers still clear the SIR test.
+    # Rare files are served far out, past the first chunks; at -50 dB
+    # thresholds such distant servers still have non-negligible values.
     params = default_params(gamma_u=db_to_linear(-50.0), gamma_e=db_to_linear(-50.0))
     cfg = SimConfig(trials=20, seed=3)
     assert_matches_reference(np.array([0.002, 0.02, 1.0]), params, cfg)
+
+
+def indicator_reference(p, params, trials, seed, exclusion_radius, threshold):
+    """Per trial and file, the 0/1 SIR event with drawn fades, on a window.
+
+    Independent of the simulator: each trial draws its BSs uniformly in a
+    disk of 4000 expected BSs, their eavesdroppers in the disk widened by
+    the guard radius, and unit-mean exponential fades; the interference
+    beyond the window is replaced by its mean.
+    """
+    rng = np.random.default_rng(seed)
+    alpha, guard = params.alpha, params.guard_radius
+    window = math.sqrt(4000.0 / LAM_PI)
+    tail = 2.0 * LAM_PI * window ** (2.0 - alpha) / (alpha - 2.0)
+    excluded = -1.0 if exclusion_radius is None else exclusion_radius
+    success = np.zeros((trials, len(p)))
+    for trial in range(trials):
+        radius = np.sort(window * np.sqrt(rng.random(rng.poisson(4000.0))))
+        bs = radius * np.exp(2j * math.pi * rng.random(len(radius)))
+        cache_u = rng.random(len(radius))
+        power = rng.standard_exponential(len(radius)) * radius ** -alpha
+        total = power.sum() + tail
+        count = rng.poisson(params.eaves_density * math.pi * (window + guard) ** 2)
+        eav = (window + guard) * np.sqrt(rng.random(count)) * np.exp(
+            2j * math.pi * rng.random(count)
+        )
+        for i, p_i in enumerate(p):
+            for b in np.flatnonzero((cache_u < p_i) & (radius > excluded)):
+                if not np.any(np.abs(eav - bs[b]) < guard):
+                    success[trial, i] = power[b] > threshold * (total - power[b])
+                    break
+    return success
+
+
+@pytest.mark.parametrize("guard_radius", [0.0, 200.0])
+def test_agrees_with_indicator_reference(guard_radius):
+    # The engine and a fade-drawing 0/1 estimator estimate the same
+    # probabilities: they agree within their combined 95% half-widths.
+    params = default_params(guard_radius=guard_radius)
+    p = np.array([0.2, 1.0])
+    trials = 2_000
+    for simulate, exclusion, threshold, flip in (
+        (simulate_file_hit, None, params.gamma_u, False),
+        (simulate_file_secrecy, guard_radius, params.gamma_e, True),
+    ):
+        est = simulate(p, params, SimConfig(trials=trials, seed=23))
+        success = indicator_reference(p, params, trials, 29, exclusion, threshold)
+        mean = 1.0 - success.mean(axis=0) if flip else success.mean(axis=0)
+        half = 1.96 * np.sqrt(mean * (1.0 - mean) / trials)
+        assert np.all(np.abs(est.estimate - mean) <= est.ci95_halfwidth + half)
 
 
 class TestSimulateSecrecy:
@@ -291,7 +432,7 @@ class TestSimulateSecrecy:
         def no_scene(*args):
             raise AssertionError("a scene was sampled")
 
-        monkeypatch.setattr("cacheplace.simulator._draw_block", no_scene)
+        monkeypatch.setattr("cacheplace.simulator._draw_chunk", no_scene)
         params, cfg = default_params(), SimConfig(trials=100)
         estimates = simulate_file_secrecy(np.zeros(3), params, cfg)
         assert_same_estimates(estimates, SimEstimate(np.ones(3), 100, np.zeros(3)))
@@ -307,8 +448,8 @@ class TestSimulateSecrecy:
         assert est.estimate[0] == pytest.approx(1.0, abs=0.005)
 
     def test_monotone_decreasing_in_placement(self):
-        # All files share each trial's scene, so the secrecy indicator is
-        # monotone in p trial by trial.
+        # A larger p is wiretapped from the same or a nearer BS of the same
+        # scenes.
         params = default_params()
         cfg = SimConfig(trials=4_000, seed=21)
         values = simulate_file_secrecy([0.2, 0.5, 1.0], params, cfg).estimate
@@ -329,15 +470,16 @@ class TestSimulateSecrecy:
             ]
 
     def test_window_size_stability(self, monkeypatch):
-        # Doubling the observation window must not shift the estimate by
-        # more than the combined Monte Carlo uncertainty.
+        # The chunk is the draw's window of nearest BSs: 16 and 256 BSs per
+        # chunk must agree within the combined Monte Carlo uncertainty.
         params = default_params()
         cfg = SimConfig(trials=4_000, seed=17)
-        base = simulate_file_secrecy([0.5], params, cfg)
-        monkeypatch.setattr(simulator, "_window_radius", lambda params: 28_540.0)
+        monkeypatch.setattr(simulator, "_CHUNK", 16)
+        narrow = simulate_file_secrecy([0.5], params, cfg)
+        monkeypatch.setattr(simulator, "_CHUNK", 256)
         wide = simulate_file_secrecy([0.5], params, cfg)
-        assert abs(base.estimate[0] - wide.estimate[0]) <= (
-            base.ci95_halfwidth[0] + wide.ci95_halfwidth[0]
+        assert abs(narrow.estimate[0] - wide.estimate[0]) <= (
+            narrow.ci95_halfwidth[0] + wide.ci95_halfwidth[0]
         )
 
     def test_domain_error(self):
