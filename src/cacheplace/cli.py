@@ -438,18 +438,55 @@ def run_sweep(spec):
     return rows
 
 
-def write_rows(rows, path):
+def _write_csv(rows, columns, path):
+    """A CSV of the given columns, one line per row, cells formatted by _fmt."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row[col]) for col in CSV_COLUMNS])
+            writer.writerow([_fmt(row[col]) for col in columns])
+
+
+def write_rows(rows, path):
+    _write_csv(rows, CSV_COLUMNS, path)
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _json_text(value, sort_keys=False, newline="\n"):
+    """Exactly ``json.dumps(value, indent=2, sort_keys=sort_keys)``, for str keys.
+
+    With ``indent`` set, json encodes in pure Python, which takes longer than
+    solving a large catalog. Here each object or array that holds no
+    container goes through the C encoder in one call, with the line break
+    and indentation in its item separator. The encoder writes that separator
+    only between items, so a string that holds ", " cannot shift the layout.
+    Containers inside containers are walked here; ``newline`` is the line
+    break and indentation that precede the closing bracket.
+    """
+    if not isinstance(value, _CONTAINERS) or not value:
+        return json.dumps(value)
+    inner = newline + "  "
+    items = value.values() if isinstance(value, dict) else value
+    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):
+        text = json.dumps(value, sort_keys=sort_keys, separators=("," + inner, ": "))
+        return text[0] + inner + text[1:-1] + newline + text[-1]
+    if isinstance(value, dict):
+        pairs = sorted(value.items()) if sort_keys else value.items()
+        parts = [
+            json.dumps(k) + ": " + _json_text(v, sort_keys, inner) for k, v in pairs
+        ]
+        brackets = "{}"
+    else:
+        parts = [_json_text(v, sort_keys, inner) for v in value]
+        brackets = "[]"
+    return brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
 
 
 def write_sidecar(spec, path):
     with open(path, "w") as fh:
-        json.dump(spec.resolved_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(spec.resolved_dict(), sort_keys=True) + "\n")
 
 
 def _report_row(quantity, point, analytic, simulated, ci, floor):
@@ -525,11 +562,7 @@ VALIDATE_COLUMNS = [
 
 
 def write_validate_rows(report, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(VALIDATE_COLUMNS)
-        for row in report:
-            writer.writerow([_fmt(row[col]) for col in VALIDATE_COLUMNS])
+    _write_csv(report, VALIDATE_COLUMNS, path)
 
 
 def run_solve(spec):
@@ -633,7 +666,7 @@ def _execute(args):
             f"gap={row['gap']:.4f} tol={row['tolerance']:.4f} {row['note']}"
             for row in report
         ]
-    text = json.dumps(run_solve(spec), indent=2)
+    text = _json_text(run_solve(spec))
     if spec.output:
         with open(spec.output, "w") as fh:
             fh.write(text + "\n")

@@ -17,8 +17,10 @@ from scipy.integrate import quad_vec
 from cacheplace.cli import (
     CSV_COLUMNS,
     SpecError,
+    _json_text,
     main,
     parse_spec,
+    run_solve,
     run_sweep,
     run_validate,
 )
@@ -144,6 +146,20 @@ class TestSweepCommand:
         assert sidecar["sweep"] == {"variable": "beta", "values": [0.2, 0.8]}
         assert sidecar["params"]["gamma_u_linear"] == pytest.approx(10 ** (-0.5))
         assert sidecar["params"]["gamma_u_db"] == -5.0
+
+    def test_sidecar_is_json_dumps_text(self, tmp_path):
+        out = str(tmp_path / "result.csv")
+        doc = {
+            # Unread keys are echoed as given, nested values and all.
+            "params": {"note, \"x\"\n": ["a, b", {"c\\": [], "d": [1, "é"]}, {}]},
+            "catalog": SMALL_CATALOG,
+            "sweep": {"variable": "gamma_e", "values": [-10.0, 5.0]},
+        }
+        config = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", config, "--out", out, "--no-sim"]) == 0
+        spec = parse_spec(doc, config_dir=str(tmp_path), out=out, no_sim=True)
+        expected = json.dumps(spec.resolved_dict(), indent=2, sort_keys=True)
+        assert open(out + ".spec.json").read() == expected + "\n"
 
     def test_byte_identical_across_runs(self, tmp_path):
         config = write_config(
@@ -388,6 +404,50 @@ class TestSolveCommand:
         assert doc["hit_probability"]["OCP"] >= doc["hit_probability"]["MPC"]
         assert doc["hit_probability"]["OCP"] >= doc["hit_probability"]["LCC"]
         assert all(s in ("capped", "interior", "zero") for s in doc["active_set"])
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"catalog": {"source": "sampled", "F": 2000, "C": 100, "seed": 4}},
+            # Caps that fit the budget (sum 1.42 <= C = 2): dual 0, no interior file.
+            {"params": {"gamma_e_db": -20.0}, "catalog": SMALL_CATALOG},
+        ],
+    )
+    def test_stdout_and_file_are_json_dumps_text(self, tmp_path, capsys, doc):
+        config = write_config(tmp_path, doc)
+        out = str(tmp_path / "solution.json")
+        assert main(["solve", "--config", config, "--out", out]) == 0
+        solution = run_solve(parse_spec(doc))
+        expected = json.dumps(solution, indent=2)
+        assert capsys.readouterr().out == expected + "\n"
+        assert open(out).read() == expected + "\n"
+        fits_budget = sum(solution["caps"]) <= doc["catalog"]["C"]
+        assert (solution["dual"] == 0.0) == fits_budget
+        assert ("interior" in solution["active_set"]) != fits_budget
+
+
+# Strings that json must escape, and ones holding the ", " separator.
+JSON_STRINGS = st.text() | st.sampled_from(
+    [", ", '"', "\\", "\n", "\x00", "é", "\u2028", "\ud800", '", "']
+)
+JSON_DOCUMENTS = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | JSON_STRINGS,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(JSON_STRINGS, children, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(doc=JSON_DOCUMENTS, sort_keys=st.booleans())
+def test_json_text_is_json_dumps_indent_2(doc, sort_keys):
+    assert _json_text(doc, sort_keys=sort_keys) == json.dumps(
+        doc, indent=2, sort_keys=sort_keys
+    )
 
 
 class TestErrorHandling:
