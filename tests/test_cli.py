@@ -442,7 +442,7 @@ JSON_DOCUMENTS = st.recursive(
 )
 
 
-@settings(max_examples=500, deadline=None, database=None)
+@settings(max_examples=200, deadline=None, database=None)
 @given(doc=JSON_DOCUMENTS, sort_keys=st.booleans())
 def test_json_text_is_json_dumps_indent_2(doc, sort_keys):
     assert _json_text(doc, sort_keys=sort_keys) == json.dumps(
