@@ -646,7 +646,9 @@ def _execute(args):
         seed=args.seed,
         trials=args.trials,
         out=args.out,
-        no_sim=args.no_sim,
+        # solve never simulates, so it reads neither the sim section nor
+        # the flags that override it.
+        no_sim=args.no_sim or args.command == "solve",
     )
     if args.command == "sweep":
         rows = run_sweep(spec)

@@ -5,6 +5,7 @@ import errno
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad_vec
 
+import cacheplace
 from cacheplace.cli import (
     CSV_COLUMNS,
     SpecError,
@@ -425,6 +426,19 @@ class TestSolveCommand:
         assert (solution["dual"] == 0.0) == fits_budget
         assert ("interior" in solution["active_set"]) != fits_budget
 
+    @pytest.mark.parametrize(
+        "flags, sim",
+        [(["--trials", "0"], {"trials": 10, "seed": 1}), ([], {"trials": "x"})],
+    )
+    def test_sim_settings_are_not_read(self, tmp_path, capsys, flags, sim):
+        # solve never simulates: an invalid sim section or override is the
+        # same as --no-sim.
+        config = write_config(tmp_path, {"catalog": SMALL_CATALOG, "sim": sim})
+        assert main(["solve", "--config", config, "--no-sim"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["solve", "--config", config, *flags]) == 0
+        assert capsys.readouterr().out == expected
+
 
 # Strings that json must escape, and ones holding the ", " separator.
 JSON_STRINGS = st.text() | st.sampled_from(
@@ -448,6 +462,20 @@ def test_json_text_is_json_dumps_indent_2(doc, sort_keys):
     assert _json_text(doc, sort_keys=sort_keys) == json.dumps(
         doc, indent=2, sort_keys=sort_keys
     )
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # No quadrature comes from scipy.integrate, whose import alone costs a
+    # fresh process about a quarter of a second.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cacheplace.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cacheplace.cli; print('scipy.integrate' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestErrorHandling:
@@ -616,12 +644,8 @@ class TestTypedConfig:
         assert "error: ConvergenceError" in capsys.readouterr().err
 
     def test_secrecy_quadrature_failure_exits_2(self, tmp_path, capsys, monkeypatch):
-        def failing(f, a, b, **kwargs):
-            value, err, info = quad_vec(f, a, b, **kwargs)
-            info.status, info.message = 1, "maximum number of subintervals reached"
-            return value, err, info
-
-        monkeypatch.setattr("cacheplace.analytic.integrate.quad_vec", failing)
+        # No rule meets a budget of 1e-300, which drives the error path.
+        monkeypatch.setattr("cacheplace.analytic._DE_ERROR_BUDGET", 1e-300)
         config = write_config(
             tmp_path,
             {"catalog": SMALL_CATALOG,
