@@ -167,14 +167,15 @@ def secrecy_probability_lower_bound(p, params):
 
     1 - exp(-pi D^2 kappa1(gamma_e) lambda) / (tau1(gamma_e) + tau2(gamma_e)/p).
     Strictly decreasing in p, with its limit 1 at p = 0 (tau2 / 0 = inf): a
-    file that is never cached cannot leak.
+    file that is never cached cannot leak. Where tau2 / p overflows near the
+    tau2 limit, the same limit 1 is exact to rounding.
     """
     p = _unit_interval(p, "p_i")
     c = derive_constants(params, params.gamma_e)
     numerator = math.exp(
         -math.pi * params.guard_radius**2 * c.kappa1 * params.bs_density
     )
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return _like(p, 1.0 - numerator / (c.tau1 + c.tau2 / p))
 
 
@@ -187,24 +188,28 @@ def secrecy_probability_exact(p, params):
     lam_a = p lambda exp(-lambda_e pi D^2) is the density of active
     transmitters. In v = k pi lam_a (r^2 - D^2) that is
     exp(-rate D^2) / k * int_0^inf exp(theta(v) - v) dv, theta being the
-    guard-zone 2F1 term. Every entry with p > 0 is integrated by the same
+    guard-zone 2F1 term. Every entry with lam_a > 0 is integrated by the same
     fixed exp-sinh rule, entry by entry, so an array gives bit for bit the
     values of scalar calls. ConvergenceError is raised when the rule's error
     estimate, its gap to the rule at twice the step, exceeds the budget.
-    1 at p = 0.
+    1 where lam_a is 0: at p = 0, and where lam_a underflows near the tau2
+    limit. There, and where k overflows, 1 is exact to rounding, because the
+    leak is of order pi lam_a / rate.
     """
     p = _unit_interval(p, "p_i")
     c = derive_constants(params, params.gamma_e)
-    out = np.ones(p.shape)
-    cached = p > 0.0
-    if not np.any(cached):
-        return _like(p, out)
     lam = params.bs_density
     d2 = params.guard_radius**2
-    lam_a = p[cached] * lam * math.exp(-params.eaves_density * math.pi * d2)
+    active = p * lam * math.exp(-params.eaves_density * math.pi * d2)
+    out = np.ones(p.shape)
+    cached = active > 0.0
+    if not np.any(cached):
+        return _like(p, out)
+    lam_a = active[cached]
     # Interference from non-caching BSs, muted caching BSs and active ones.
     rate = math.pi * ((lam - lam_a) * c.kappa1 + lam_a * c.kappa2)
-    k = 1.0 + rate / (math.pi * lam_a)
+    with np.errstate(over="ignore"):
+        k = 1.0 + rate / (math.pi * lam_a)
     half_alpha = params.alpha / 2.0
     fine = np.empty(lam_a.shape)
     coarse = np.empty(lam_a.shape)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from cacheplace.analytic import NetworkParams, derive_constants
 from cacheplace.special import hyp2f1_1b
@@ -41,6 +41,27 @@ class TestHyp2f1:
         assert isinstance(values, np.ndarray) and values.shape == z.shape
         assert values.tolist() == [[hyp2f1_1b(2.0 / 3.0, x) for x in row] for row in z]
         assert type(hyp2f1_1b(0.5, -2.0)) is float
+
+    @pytest.mark.parametrize(
+        "b",
+        [2.0 / alpha for alpha in (2.2, 2.5, 3.0, 4.0, 6.0, 8.0)]
+        + [1.0 - 2.0 / alpha for alpha in (2.2, 2.5, 3.0, 4.0, 6.0, 8.0)]
+        + [0.9, 0.99],
+    )
+    def test_matches_scipy_oracle(self, b):
+        # The relative error grows like 1e-16 b / (1 - b) as b -> 1; 1e-12
+        # holds up to b = 0.99 across twenty decades of z.
+        z = np.concatenate([[0.0], -np.logspace(-8, 12, 201)])
+        oracle = special.hyp2f1(1.0, b, b + 1.0, z)
+        values = hyp2f1_1b(b, z)
+        np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=0.0)
+        scalars = [hyp2f1_1b(b, x) for x in z]
+        np.testing.assert_allclose(scalars, oracle, rtol=1e-12, atol=0.0)
+
+    def test_zero_at_minus_infinity(self):
+        for b in [0.25, 0.5, 0.9, 1.0]:
+            assert hyp2f1_1b(b, -math.inf) == 0.0
+            assert hyp2f1_1b(b, np.array([-math.inf, 0.0])).tolist() == [0.0, 1.0]
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
