@@ -18,7 +18,7 @@ __all__ = [
 ]
 
 # Terms of the series S(c, w) = 2F1(1, 1; c; w) for c >= 1 and 0 <= w <= 1/2:
-# term n is at most w^n, so the tail past 54 terms is below 2^-53 of S >= 1.
+# term n is at most w^n, so the tail past 54 terms is at most 2^-53 of S >= 1.
 _TERMS = 54
 
 
@@ -90,7 +90,8 @@ def _far(b, x):
 
 def _series(c, w):
     # Horner from the last term down. For a float w the operations are the
-    # ones numpy applies to each entry of an array w, in the same order.
+    # ones numpy applies to each entry of an array w, in the same order; s
+    # starts as a new float or array, so the in-place steps never touch w.
     coefficients = _series_coefficients(c)
     s = w * 0.0 + coefficients[0]
     for coefficient in coefficients[1:]:

@@ -465,8 +465,8 @@ def test_json_text_is_json_dumps_indent_2(doc, sort_keys):
 
 
 def test_cli_import_leaves_scipy_out():
-    # The package imports nothing from scipy, whose import alone costs a fresh
-    # process about 0.15 s and 25 MB; scipy is a test oracle only.
+    # The package imports nothing from scipy, whose import alone about doubles
+    # a fresh process's start-up time and memory; scipy is a test oracle only.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cacheplace.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
