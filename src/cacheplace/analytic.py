@@ -95,7 +95,8 @@ class DerivedConstants:
     delta = 2/alpha; kappa1 and kappa2 are the interference exponents from
     the whole-plane and outside-disk Laplace transforms; tau1 = 1 + kappa2 -
     kappa1 and tau2 = kappa1 * exp(pi * lambda_e * D^2) combine them with the
-    guard-zone thinning.
+    guard-zone thinning. leak = exp(-pi D^2 kappa1 lambda) is the leak term
+    of the secrecy lower bound and of its inverse, the placement cap.
     """
 
     delta: float
@@ -103,6 +104,7 @@ class DerivedConstants:
     kappa2: float
     tau1: float
     tau2: float
+    leak: float
 
     def __post_init__(self):
         if not 0 < self.delta < 1:
@@ -123,7 +125,7 @@ def derive_constants(params, gamma):
     # delta gamma^delta B(1 - delta, delta), with B(1 - delta, delta) =
     # pi / sin(pi delta) by Euler's reflection formula.
     kappa1 = delta * gamma**delta * math.pi / math.sin(math.pi * (1.0 - delta))
-    kappa2 = (delta * gamma / (1.0 - delta)) * hyp2f1_1b(1.0 - delta, -gamma)
+    kappa2 = kappa2_at(delta, gamma)
     tau1 = 1.0 + kappa2 - kappa1
     exponent = math.pi * params.eaves_density * params.guard_radius**2
     try:
@@ -135,9 +137,20 @@ def derive_constants(params, gamma):
             f"tau2 = kappa1 * exp(pi * eaves_density * guard_radius^2) overflows "
             f"at pi * eaves_density * guard_radius^2 = {exponent:.6g}"
         ) from None
+    leak = math.exp(-math.pi * params.guard_radius**2 * kappa1 * params.bs_density)
     return DerivedConstants(
-        delta=delta, kappa1=kappa1, kappa2=kappa2, tau1=tau1, tau2=tau2
+        delta=delta, kappa1=kappa1, kappa2=kappa2, tau1=tau1, tau2=tau2, leak=leak
     )
+
+
+def kappa2_at(delta, theta):
+    """kappa2 = delta theta / (1 - delta) 2F1(1, 1 - delta; 2 - delta; -theta).
+
+    A PPP of density lam outside radius rho leaves a server at r_s <= rho
+    the mean Rayleigh success factor exp(-pi lam rho^2 kappa2) at theta =
+    gamma (r_s / rho)^alpha, a scalar or an array.
+    """
+    return (delta * theta / (1.0 - delta)) * hyp2f1_1b(1.0 - delta, -theta)
 
 
 def conditional_hit_probability(p, params):
@@ -172,11 +185,8 @@ def secrecy_probability_lower_bound(p, params):
     """
     p = _unit_interval(p, "p_i")
     c = derive_constants(params, params.gamma_e)
-    numerator = math.exp(
-        -math.pi * params.guard_radius**2 * c.kappa1 * params.bs_density
-    )
     with np.errstate(divide="ignore", over="ignore"):
-        return _like(p, 1.0 - numerator / (c.tau1 + c.tau2 / p))
+        return _like(p, 1.0 - c.leak / (c.tau1 + c.tau2 / p))
 
 
 def secrecy_probability_exact(p, params):
@@ -247,10 +257,7 @@ def placement_cap(eps, params):
     eps = _unit_interval(eps, "eps_i")
     c = derive_constants(params, params.gamma_e)
     numerator = c.tau2 * (1.0 - eps)
-    denominator = (
-        math.exp(-math.pi * params.guard_radius**2 * c.kappa1 * params.bs_density)
-        - c.tau1 * (1.0 - eps)
-    )
+    denominator = c.leak - c.tau1 * (1.0 - eps)
     with np.errstate(divide="ignore", invalid="ignore"):
         cap = np.where(
             denominator > 0.0, np.minimum(1.0, numerator / denominator), 1.0

@@ -66,6 +66,8 @@ DEFAULT_PARAMS = {
 }
 DEFAULT_CATALOG = {"source": "sampled", "F": 10, "beta": 0.7, "C": 5,
                    "epsilon_max": 0.5, "seed": 1}
+DEFAULT_VALIDATE = {"hit_p": [0.2, 0.5, 1.0], "secrecy_p": [0.2, 0.5, 0.8],
+                    "hit_tol": 0.01, "secrecy_tol": 0.015}
 
 SWEEP_VARIABLES = ("beta", "D", "gamma_e", "p_i")
 SCHEMES = ("OCP", "MPC", "LCC", "FIXED")
@@ -270,9 +272,9 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
     if not no_sim and (doc.get("sim") or trials is not None or seed is not None):
         sim_doc = _object(doc.get("sim") or {}, "sim")
         if trials is None:
-            trials = _integer(sim_doc.get("trials", 10_000), "sim.trials")
+            trials = _integer(sim_doc.get("trials", SimConfig.trials), "sim.trials")
         if seed is None:
-            seed = _integer(sim_doc.get("seed", 0), "sim.seed")
+            seed = _integer(sim_doc.get("seed", SimConfig.seed), "sim.seed")
         sim = SimConfig(trials=trials, seed=seed)
 
     output = out if out is not None else doc.get("output")
@@ -319,33 +321,26 @@ def _simulated(spec, p, params, *path):
     )
 
 
-def _point_params(spec, value):
-    if spec.sweep_var == "D":
-        return replace(spec.params, guard_radius=value)
-    if spec.sweep_var == "gamma_e":  # sweep values quoted in dB
-        return replace(spec.params, gamma_e=db_to_linear(value))
-    return spec.params
-
-
-def _point_catalog(spec, value):
+def _point(spec, value):
+    """(params, catalog) at one point of a beta, D or gamma_e sweep."""
+    params, catalog = spec.params, spec.catalog
     if spec.sweep_var == "beta":
-        return make_catalog(
-            spec.catalog.file_count,
-            value,
-            spec.catalog.secrecy_levels,
-            spec.catalog.cache_size,
+        catalog = make_catalog(
+            catalog.file_count, value, catalog.secrecy_levels, catalog.cache_size
         )
-    return spec.catalog
+    elif spec.sweep_var == "D":
+        params = replace(params, guard_radius=value)
+    elif spec.sweep_var == "gamma_e":  # sweep values quoted in dB
+        params = replace(params, gamma_e=db_to_linear(value))
+    return params, catalog
 
 
-def _scheme_policy(scheme, catalog, params, fixed_policy):
+def _scheme_policy(scheme, catalog, params, fixed_policy=None):
+    if scheme == "FIXED":
+        return PlacementPolicy(fixed_policy)  # budget deliberately unchecked
     if scheme == "OCP":
         return solve_ocp(catalog, params).policy
-    if scheme == "MPC":
-        return mpc_placement(catalog, params)
-    if scheme == "LCC":
-        return lcc_placement(catalog, params)
-    return PlacementPolicy(fixed_policy)  # FIXED: budget deliberately unchecked
+    return (mpc_placement if scheme == "MPC" else lcc_placement)(catalog, params)
 
 
 def _rows(columns):
@@ -431,8 +426,7 @@ def run_sweep(spec):
         return _p_i_rows(spec)
     rows = []
     for point_idx, value in enumerate(spec.sweep_values):
-        params = _point_params(spec, value)
-        catalog = _point_catalog(spec, value)
+        params, catalog = _point(spec, value)
         for scheme_idx in range(len(spec.schemes)):
             rows += _scheme_rows(spec, point_idx, value, scheme_idx, catalog, params)
     return rows
@@ -513,13 +507,14 @@ def run_validate(spec):
     """
     if spec.sim is None:
         raise SpecError("validate requires simulation (remove --no-sim / add 'sim')")
-    settings = _object(spec.validate, "validate")
-    hit_grid = _number_list(settings.get("hit_p", [0.2, 0.5, 1.0]), "validate.hit_p")
-    secrecy_grid = _number_list(
-        settings.get("secrecy_p", [0.2, 0.5, 0.8]), "validate.secrecy_p"
-    )
-    hit_tol = _number(settings.get("hit_tol", 0.01), "validate.hit_tol")
-    secrecy_tol = _number(settings.get("secrecy_tol", 0.015), "validate.secrecy_tol")
+    settings = {**DEFAULT_VALIDATE, **_object(spec.validate, "validate")}
+    hit_grid = _number_list(settings["hit_p"], "validate.hit_p")
+    secrecy_grid = _number_list(settings["secrecy_p"], "validate.secrecy_p")
+    for key in ("hit_tol", "secrecy_tol"):  # max(ci, tol) needs a finite tol >= 0
+        tol = settings[key] = _number(settings[key], f"validate.{key}")
+        if not 0.0 <= tol < np.inf:
+            raise SpecError(f"validate.{key} must be finite and >= 0, got {tol!r}")
+    hit_tol, secrecy_tol = settings["hit_tol"], settings["secrecy_tol"]
     if not hit_grid and not secrecy_grid:
         raise SpecError("validate.hit_p and validate.secrecy_p are both empty")
     params = spec.params
@@ -568,19 +563,17 @@ def write_validate_rows(report, path):
 def run_solve(spec):
     """Solve the single-instance placement problem; returns a JSON-able dict."""
     solution = solve_ocp(spec.catalog, spec.params)
-    mpc = mpc_placement(spec.catalog, spec.params)
-    lcc = lcc_placement(spec.catalog, spec.params)
+    hits = {"OCP": solution.objective}
+    for scheme in ("MPC", "LCC"):
+        policy = _scheme_policy(scheme, spec.catalog, spec.params)
+        hits[scheme] = hit_probability(policy, spec.catalog, spec.params)
     return {
         "p_star": solution.policy.p.tolist(),
         "caps": solution.caps.tolist(),
         "dual": solution.dual,
         "active_set": list(solution.active_set),
         "objective": solution.objective,
-        "hit_probability": {
-            "OCP": solution.objective,
-            "MPC": hit_probability(mpc, spec.catalog, spec.params),
-            "LCC": hit_probability(lcc, spec.catalog, spec.params),
-        },
+        "hit_probability": hits,
     }
 
 
@@ -651,9 +644,9 @@ def _execute(args):
         no_sim=args.no_sim or args.command == "solve",
     )
     if args.command == "sweep":
-        rows = run_sweep(spec)
         if not spec.output:
             raise SpecError("sweep requires an output path (--out or 'output')")
+        rows = run_sweep(spec)
         write_rows(rows, spec.output)
         write_sidecar(spec, spec.output + ".spec.json")
         return 0, [f"wrote {len(rows)} rows to {spec.output}"]

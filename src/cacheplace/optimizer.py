@@ -40,7 +40,10 @@ class OcpSolution:
 
 
 def _water_fill(catalog, params, caps):
-    """(nu, p, active) of the budget-binding water-filling; needs sum(caps) > C.
+    """(nu, p, capped, interior) of the budget-binding water-filling.
+
+    Needs sum(caps) > C. capped and interior mask the files at their cap and
+    those on the water level.
 
     The clipped sum S(nu) is non-increasing, and piecewise of the form
     a / sqrt(nu) - b between the 2F breakpoints where a file enters
@@ -102,11 +105,7 @@ def _water_fill(catalog, params, caps):
         dev = root_in - root_in[0]
         spread = (remaining + k * tau2 / tau1) * (dev - dev.mean()) / root_sum
         p[interior] = np.clip(remaining / k + spread, 0.0, caps[interior])
-    active = tuple(
-        "capped" if cap else ("interior" if inner else "zero")
-        for cap, inner in zip(capped, interior)
-    )
-    return nu, p, active
+    return nu, p, capped, interior
 
 
 def solve_ocp(catalog, params):
@@ -119,16 +118,17 @@ def solve_ocp(catalog, params):
     """
     caps = placement_cap(catalog.secrecy_levels, params)
     if caps.sum() <= catalog.cache_size:
-        p = caps.copy()
-        nu = 0.0
-        active = tuple("zero" if x == 0.0 else "capped" for x in p)
+        nu, p, capped = 0.0, caps.copy(), caps != 0.0
+        interior = np.zeros_like(capped)
     else:
-        nu, p, active = _water_fill(catalog, params, caps)
+        nu, p, capped, interior = _water_fill(catalog, params, caps)
     policy = PlacementPolicy(p, catalog.cache_size)
     return OcpSolution(
         policy=policy,
         dual=nu,
-        active_set=active,
+        active_set=tuple(
+            np.where(capped, "capped", np.where(interior, "interior", "zero")).tolist()
+        ),
         objective=hit_probability(policy, catalog, params),
         caps=caps,
     )
@@ -148,11 +148,9 @@ def _greedy_fill(order, caps, budget):
 
 def _greedy_placement(catalog, params, key):
     """Greedy fill to the secrecy caps in ascending key, ties to the lower index."""
-    order = np.lexsort((np.arange(catalog.file_count), key))
     caps = placement_cap(catalog.secrecy_levels, params)
-    return PlacementPolicy(
-        _greedy_fill(order, caps, catalog.cache_size), catalog.cache_size
-    )
+    p = _greedy_fill(np.argsort(key, kind="stable"), caps, catalog.cache_size)
+    return PlacementPolicy(p, catalog.cache_size)
 
 
 def mpc_placement(catalog, params):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import hyp2f1_1b
+from .analytic import kappa2_at
 
 __all__ = [
     "SimConfig",
@@ -206,9 +206,9 @@ def _far_field(x, s_last, alpha):
 
     They form a PPP outside the radius rho with pi lam rho^2 = s_last. For a
     server at x = theta (r_s / rho)^alpha, its probability generating
-    functional gives pi lam rho^2 2x / (alpha - 2) 2F1(1, 1 - delta; 2 - delta; -x).
+    functional gives pi lam rho^2 kappa2(x), the closed forms' kappa2.
     """
-    return s_last * 2.0 * x / (alpha - 2.0) * hyp2f1_1b(1.0 - 2.0 / alpha, -x)
+    return s_last * kappa2_at(2.0 / alpha, x)
 
 
 def _value_sums(p, params, cfg, exclusion, threshold):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +53,8 @@ def count_file_simulations(monkeypatch):
         monkeypatch.setattr(f"cacheplace.cli.simulate_file_{name}", counting)
     return calls
 
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SMALL_CATALOG = {"source": "inline", "F": 4, "beta": 0.7, "C": 2,
                  "epsilon": [0.1, 0.3, 0.2, 0.4]}
@@ -283,13 +286,27 @@ class TestSweepCommand:
         out = str(tmp_path / "result.csv")
         assert main(["sweep", "--config", config, "--out", out, "--no-sim"]) == 2
 
-    def test_sweep_requires_output(self, tmp_path):
+    def test_sweep_requires_output(self, tmp_path, capsys, monkeypatch):
+        # The missing path is reported before any point is simulated.
+        calls = count_file_simulations(monkeypatch)
         config = write_config(
             tmp_path,
             {"catalog": SMALL_CATALOG,
-             "sweep": {"variable": "beta", "values": [0.5]}},
+             "sweep": {"variable": "beta", "values": [0.5]},
+             "sim": {"trials": 50}},
         )
-        assert main(["sweep", "--config", config, "--no-sim"]) == 2
+        assert main(["sweep", "--config", config]) == 2
+        assert "requires an output path" in capsys.readouterr().err
+        assert calls == {"hit": [], "secrecy": []}
+
+    @pytest.mark.parametrize("variable", ["beta", "D", "gamma_e", "p_i"])
+    def test_no_sim_csv_matches_golden(self, tmp_path, variable):
+        # tests/golden/sweep_<variable>.csv holds the --no-sim output of its
+        # config: the closed-form cells must not move by a single digit.
+        config = GOLDEN / f"sweep_{variable}.json"
+        out = tmp_path / "result.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out), "--no-sim"]) == 0
+        assert out.read_bytes() == (GOLDEN / f"sweep_{variable}.csv").read_bytes()
 
     def test_one_secrecy_simulation_per_point_and_scheme(self, monkeypatch):
         calls = []
@@ -373,6 +390,25 @@ class TestValidateCommand:
     def test_requires_simulation(self, tmp_path):
         config = write_config(tmp_path, {"catalog": SMALL_CATALOG})
         assert main(["validate", "--config", config, "--no-sim"]) == 2
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [("hit_tol", math.inf), ("hit_tol", math.nan), ("hit_tol", -1.0),
+         ("secrecy_tol", math.inf), ("secrecy_tol", math.nan), ("secrecy_tol", -0.01)],
+    )
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
+        # An infinite tolerance would pass every row, and a NaN or negative
+        # one would quietly give way to ci.
+        calls = count_file_simulations(monkeypatch)
+        config = write_config(
+            tmp_path,
+            {"catalog": SMALL_CATALOG, "sim": {"trials": 50}, "validate": {key: value}},
+        )
+        out = str(tmp_path / "validate.csv")
+        assert main(["validate", "--config", config, "--out", out]) == 2
+        assert f"error: validate.{key} must be finite and >= 0" in capsys.readouterr().err
+        assert calls == {"hit": [], "secrecy": []}
+        assert not os.path.exists(out)
 
     def test_empty_grids_exit_2(self, tmp_path, capsys):
         # A report that compares no estimate is not a pass.

@@ -8,7 +8,13 @@ import pytest
 from scipy import integrate, special
 
 from cacheplace import simulator
-from cacheplace.analytic import NetworkParams, conditional_hit_probability, db_to_linear
+from cacheplace.analytic import (
+    NetworkParams,
+    conditional_hit_probability,
+    db_to_linear,
+    derive_constants,
+    kappa2_at,
+)
 from cacheplace.simulator import (
     SimConfig,
     SimEstimate,
@@ -214,6 +220,19 @@ def test_far_field_matches_pgfl_quadrature(alpha):
         assert _far_field(np.array([x]), s_last, alpha)[0] == pytest.approx(
             s_last * integral, rel=1e-10
         )
+
+
+@pytest.mark.parametrize("alpha", [2.2, 3.0, 4.0])
+def test_far_field_is_the_closed_forms_kappa2(alpha):
+    # One kappa2 serves both: s_last kappa2(x) for an array of x, bit for
+    # bit, and at s_last = 1 and x = gamma derive_constants' kappa2.
+    x = np.array([1e-4, 0.03, 0.3162, 1.0, 5.0, 300.0])
+    s_last = np.array([70.0, 3.5, 1000.0, 1.0, 12.25, 0.5])
+    assert np.array_equal(_far_field(x, s_last, alpha), s_last * kappa2_at(2.0 / alpha, x))
+    params = default_params(alpha=alpha)
+    for gamma in x:
+        far = _far_field(np.array([gamma]), np.array([1.0]), alpha)[0]
+        assert far == derive_constants(params, float(gamma)).kappa2
 
 
 class TestSimulateHit:
