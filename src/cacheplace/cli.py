@@ -20,7 +20,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,7 +91,7 @@ class ExperimentSpec:
     fixed_policy: np.ndarray | None
     sim: SimConfig | None
     output: str | None
-    validate: dict = field(default_factory=dict)
+    validate: dict
 
     def resolved_dict(self):
         """Echo of the spec with every derived quantity filled in."""
@@ -281,6 +281,14 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
     if output is not None and not isinstance(output, str):
         raise SpecError(f"output must be a path string, got {output!r}")
 
+    validate = {**DEFAULT_VALIDATE, **_object(doc.get("validate", {}), "validate")}
+    for key in ("hit_p", "secrecy_p"):
+        validate[key] = _number_list(validate[key], f"validate.{key}")
+    for key in ("hit_tol", "secrecy_tol"):  # max(ci, tol) needs a finite tol >= 0
+        tol = validate[key] = _number(validate[key], f"validate.{key}")
+        if not 0.0 <= tol < np.inf:
+            raise SpecError(f"validate.{key} must be finite and >= 0, got {tol!r}")
+
     return ExperimentSpec(
         params=params,
         params_db=params_db,
@@ -292,7 +300,7 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
         fixed_policy=fixed_policy,
         sim=sim,
         output=output,
-        validate=doc.get("validate", {}),
+        validate=validate,
     )
 
 
@@ -311,18 +319,35 @@ def _sim_config(spec, *path):
     return SimConfig(trials=spec.sim.trials, seed=seed)
 
 
-def _simulated(spec, p, params, *path):
-    """Per-file (hit, secrecy) estimates at p seeded from (*path, 0 | 1), or Nones."""
-    if spec.sim is None:
-        return None, None
-    return (
-        simulate_file_hit(p, params, _sim_config(spec, *path, 0)),
-        simulate_file_secrecy(p, params, _sim_config(spec, *path, 1)),
-    )
+def _hit_columns(spec, p, params, *path):
+    """hit_analytic, hit_sim and hit_ci, in that order, at caching probabilities p.
+
+    The simulation is seeded from (*path, 0); without one its columns are None.
+    """
+    sim = spec.sim and simulate_file_hit(p, params, _sim_config(spec, *path, 0))
+    return {
+        "hit_analytic": conditional_hit_probability(p, params).tolist(),
+        "hit_sim": sim and sim.estimate.tolist(),
+        "hit_ci": sim and sim.ci95_halfwidth.tolist(),
+    }
+
+
+def _secrecy_columns(spec, p, params, *path):
+    """secrecy_lb, secrecy_exact, secrecy_sim and secrecy_ci, in that order, at p.
+
+    The simulation is seeded from (*path, 1); without one its columns are None.
+    """
+    sim = spec.sim and simulate_file_secrecy(p, params, _sim_config(spec, *path, 1))
+    return {
+        "secrecy_lb": secrecy_probability_lower_bound(p, params).tolist(),
+        "secrecy_exact": secrecy_probability_exact(p, params).tolist(),
+        "secrecy_sim": sim and sim.estimate.tolist(),
+        "secrecy_ci": sim and sim.ci95_halfwidth.tolist(),
+    }
 
 
 def _point(spec, value):
-    """(params, catalog) at one point of a beta, D or gamma_e sweep."""
+    """(params, catalog, secrecy caps) at one point of a beta, D or gamma_e sweep."""
     params, catalog = spec.params, spec.catalog
     if spec.sweep_var == "beta":
         catalog = make_catalog(
@@ -332,7 +357,7 @@ def _point(spec, value):
         params = replace(params, guard_radius=value)
     elif spec.sweep_var == "gamma_e":  # sweep values quoted in dB
         params = replace(params, gamma_e=db_to_linear(value))
-    return params, catalog
+    return params, catalog, placement_cap(catalog.secrecy_levels, params)
 
 
 def _scheme_policy(scheme, catalog, params, fixed_policy=None):
@@ -350,18 +375,13 @@ def _rows(columns):
     return [dict(zip(full, cells)) for cells in zip(*full.values())]
 
 
-def _file_columns(p, params, hit=None, secrecy=None):
-    """Closed-form and simulated columns at the caching probabilities p."""
-    columns = {
+def _file_columns(spec, p, params, *path):
+    """p_star with its hit and secrecy columns, simulated from the seed path."""
+    return {
         "p_star": p.tolist(),
-        "hit_analytic": conditional_hit_probability(p, params).tolist(),
-        "secrecy_lb": secrecy_probability_lower_bound(p, params).tolist(),
-        "secrecy_exact": secrecy_probability_exact(p, params).tolist(),
+        **_hit_columns(spec, p, params, *path),
+        **_secrecy_columns(spec, p, params, *path),
     }
-    for name, est in (("hit", hit), ("secrecy", secrecy)):
-        columns[f"{name}_sim"] = est.estimate.tolist() if est else None
-        columns[f"{name}_ci"] = est.ci95_halfwidth.tolist() if est else None
-    return columns
 
 
 def _p_i_rows(spec):
@@ -371,7 +391,6 @@ def _p_i_rows(spec):
     per simulator.
     """
     p = np.asarray(spec.sweep_values)
-    hit, secrecy = _simulated(spec, p, spec.params, 0, 0)
     return _rows(
         {
             "sweep_var": "p_i",
@@ -379,28 +398,29 @@ def _p_i_rows(spec):
             "scheme": "FIXED",
             "file_index": 0,
             "psi_cap": None,
-            **_file_columns(p, spec.params, hit, secrecy),
+            **_file_columns(spec, p, spec.params, 0, 0),
         }
     )
 
 
-def _scheme_rows(spec, point_idx, value, scheme_idx, catalog, params):
+def _scheme_rows(spec, point_idx, value, scheme_idx, params, catalog, caps):
     """Per-file rows of one (point, scheme), then its aggregate row (file 0)."""
     scheme = spec.schemes[scheme_idx]
-    caps = placement_cap(catalog.secrecy_levels, params)
     policy = _scheme_policy(scheme, catalog, params, spec.fixed_policy)
-    hit, secrecy = _simulated(spec, policy.p, params, point_idx, scheme_idx)
-    # The aggregate's simulated hit is the popularity-weighted per-file mean.
-    aggregate = None if hit is None else SimEstimate.from_mean(
-        np.dot(catalog.popularity, hit.estimate), spec.sim.trials
-    )
+    columns = _file_columns(spec, policy.p, params, point_idx, scheme_idx)
+    # Popularity-weighted per-file hits: the dot product hit_probability takes.
+    q = catalog.popularity
+    aggregate = {"hit_analytic": float(np.dot(q, columns["hit_analytic"]))}
+    if spec.sim is not None:
+        mean = SimEstimate.from_mean(np.dot(q, columns["hit_sim"]), spec.sim.trials)
+        aggregate.update(hit_sim=mean.estimate, hit_ci=mean.ci95_halfwidth)
     point = {"sweep_var": spec.sweep_var, "sweep_value": value, "scheme": scheme}
     rows = _rows(
         {
             **point,
             "file_index": list(range(1, catalog.file_count + 1)),
             "psi_cap": caps.tolist(),
-            **_file_columns(policy.p, params, hit, secrecy),
+            **columns,
         }
     )
     rows.append(
@@ -410,9 +430,7 @@ def _scheme_rows(spec, point_idx, value, scheme_idx, catalog, params):
             "file_index": 0,
             "p_star": float(policy.p.sum()),
             "psi_cap": float(caps.sum()),
-            "hit_analytic": hit_probability(policy, catalog, params),
-            "hit_sim": aggregate.estimate if aggregate else None,
-            "hit_ci": aggregate.ci95_halfwidth if aggregate else None,
+            **aggregate,
         }
     )
     return rows
@@ -426,9 +444,9 @@ def run_sweep(spec):
         return _p_i_rows(spec)
     rows = []
     for point_idx, value in enumerate(spec.sweep_values):
-        params, catalog = _point(spec, value)
+        point = _point(spec, value)
         for scheme_idx in range(len(spec.schemes)):
-            rows += _scheme_rows(spec, point_idx, value, scheme_idx, catalog, params)
+            rows += _scheme_rows(spec, point_idx, value, scheme_idx, *point)
     return rows
 
 
@@ -507,43 +525,23 @@ def run_validate(spec):
     """
     if spec.sim is None:
         raise SpecError("validate requires simulation (remove --no-sim / add 'sim')")
-    settings = {**DEFAULT_VALIDATE, **_object(spec.validate, "validate")}
-    hit_grid = _number_list(settings["hit_p"], "validate.hit_p")
-    secrecy_grid = _number_list(settings["secrecy_p"], "validate.secrecy_p")
-    for key in ("hit_tol", "secrecy_tol"):  # max(ci, tol) needs a finite tol >= 0
-        tol = settings[key] = _number(settings[key], f"validate.{key}")
-        if not 0.0 <= tol < np.inf:
-            raise SpecError(f"validate.{key} must be finite and >= 0, got {tol!r}")
-    hit_tol, secrecy_tol = settings["hit_tol"], settings["secrecy_tol"]
+    hit_grid, secrecy_grid = spec.validate["hit_p"], spec.validate["secrecy_p"]
+    hit_tol, secrecy_tol = spec.validate["hit_tol"], spec.validate["secrecy_tol"]
     if not hit_grid and not secrecy_grid:
         raise SpecError("validate.hit_p and validate.secrecy_p are both empty")
-    params = spec.params
 
-    hit_sim = simulate_file_hit(hit_grid, params, _sim_config(spec, 0))
-    hit = zip(
-        hit_grid,
-        conditional_hit_probability(hit_grid, params).tolist(),
-        hit_sim.estimate.tolist(),
-        hit_sim.ci95_halfwidth.tolist(),
-    )
+    hit = _hit_columns(spec, hit_grid, spec.params).values()
     # Files at equal p share their closed form and, from shared scenes, their
     # estimate; the report keeps one row per file.
     report = [
         _report_row("hit", f"p={p:g} file={i + 1}", analytic, sim, ci, hit_tol)
-        for p, analytic, sim, ci in hit
+        for p, analytic, sim, ci in zip(hit_grid, *hit)
         for i in range(spec.catalog.file_count)
     ]
-    secrecy_sim = simulate_file_secrecy(secrecy_grid, params, _sim_config(spec, 1))
-    secrecy = zip(
-        secrecy_grid,
-        secrecy_probability_lower_bound(secrecy_grid, params).tolist(),
-        secrecy_probability_exact(secrecy_grid, params).tolist(),
-        secrecy_sim.estimate.tolist(),
-        secrecy_sim.ci95_halfwidth.tolist(),
-    )
+    secrecy = _secrecy_columns(spec, secrecy_grid, spec.params).values()
     report += [
         _report_row(name, f"p={p:g}", analytic, sim, ci, secrecy_tol)
-        for p, lower, exact, sim, ci in secrecy
+        for p, lower, exact, sim, ci in zip(secrecy_grid, *secrecy)
         for name, analytic in (("secrecy_lb", lower), ("secrecy_exact", exact))
     ]
     ok = all(row["status"] == "pass" for row in report)

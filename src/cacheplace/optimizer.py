@@ -135,14 +135,11 @@ def solve_ocp(catalog, params):
 
 
 def _greedy_fill(order, caps, budget):
+    """Each file in order takes min(cap, budget left), until none is left."""
+    ordered = caps[order]
+    left = np.subtract.accumulate(np.concatenate(([float(budget)], ordered)))
     p = np.zeros(len(caps))
-    remaining = float(budget)
-    for idx in order:
-        if remaining <= 0:
-            break
-        take = min(1.0, float(caps[idx]), remaining)
-        p[idx] = take
-        remaining -= take
+    p[order] = np.maximum(np.minimum(ordered, left[:-1]), 0.0)
     return p
 
 

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cacheplace
+from cacheplace.analytic import placement_cap
 from cacheplace.cli import (
     CSV_COLUMNS,
     SpecError,
@@ -308,6 +309,48 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config), "--out", str(out), "--no-sim"]) == 0
         assert out.read_bytes() == (GOLDEN / f"sweep_{variable}.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        ("command", "config"), [("sweep", "sweep_beta_sim"), ("validate", "validate")]
+    )
+    def test_seeded_csv_matches_golden(self, tmp_path, command, config):
+        # tests/golden/<config>.csv holds the simulated output of its config
+        # (64 trials): each column's seed path must not move.
+        out = tmp_path / "result.csv"
+        assert main([command, "--config", str(GOLDEN / f"{config}.json"),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{config}.csv").read_bytes()
+
+    def test_one_placement_cap_per_point(self, monkeypatch):
+        calls = []
+
+        def counting(eps, params):
+            calls.append(len(eps))
+            return placement_cap(eps, params)
+
+        monkeypatch.setattr("cacheplace.cli.placement_cap", counting)
+        spec = parse_spec(
+            {
+                "catalog": SMALL_CATALOG,
+                "sweep": {"variable": "D", "values": [100.0, 300.0]},
+                "schemes": ["OCP", "MPC", "FIXED"],
+                "fixed_policy": 0.5,
+            }
+        )
+        rows = run_sweep(spec)
+        assert calls == [4, 4]
+        assert all(r["psi_cap"] is not None for r in rows)
+
+    def test_sweep_checks_the_validate_section(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            {"catalog": SMALL_CATALOG, "sweep": {"variable": "beta", "values": [0.5]},
+             "validate": {"hit_tol": -1}},
+        )
+        out = str(tmp_path / "result.csv")
+        assert main(["sweep", "--config", config, "--out", out, "--no-sim"]) == 2
+        assert "error: validate.hit_tol must be finite and >= 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_one_secrecy_simulation_per_point_and_scheme(self, monkeypatch):
         calls = []
 
@@ -386,6 +429,18 @@ class TestValidateCommand:
         report, _ = run_validate(spec)
         assert calls == {"hit": [[0.5, 1.0]], "secrecy": [[0.2, 0.5, 0.8]]}
         assert len(report) == 2 * 4 + 2 * 3
+
+    def test_sidecar_echoes_the_resolved_settings(self, tmp_path):
+        config = write_config(
+            tmp_path, {"catalog": SMALL_CATALOG, "sim": {"trials": 5, "seed": 1}}
+        )
+        out = str(tmp_path / "validate.csv")
+        assert main(["validate", "--config", config, "--out", out]) in (0, 1)
+        sidecar = json.loads(open(out + ".spec.json").read())
+        assert sidecar["validate"] == {
+            "hit_p": [0.2, 0.5, 1.0], "secrecy_p": [0.2, 0.5, 0.8],
+            "hit_tol": 0.01, "secrecy_tol": 0.015,
+        }
 
     def test_requires_simulation(self, tmp_path):
         config = write_config(tmp_path, {"catalog": SMALL_CATALOG})

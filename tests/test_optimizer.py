@@ -284,6 +284,35 @@ class TestBaselines:
             optimizer._greedy_fill(order, own_caps, cat.cache_size),
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        caps=st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+            min_size=1, max_size=12,
+        ),
+        budget=st.integers(0, 6),
+        data=st.data(),
+    )
+    def test_greedy_fill_matches_the_loop(self, caps, budget, data):
+        # The visit loop that _greedy_fill replaced, kept as its reference.
+        # Sampled caps give ties, zero caps and caps that use up the budget
+        # exactly.
+        def loop_fill(order, caps, budget):
+            p = np.zeros(len(caps))
+            remaining = float(budget)
+            for idx in order:
+                if remaining <= 0:
+                    break
+                take = min(1.0, float(caps[idx]), remaining)
+                p[idx] = take
+                remaining -= take
+            return p
+
+        caps = np.array(caps)
+        order = data.draw(st.permutations(range(len(caps))))
+        want = loop_fill(order, caps, budget)
+        assert optimizer._greedy_fill(order, caps, budget).tobytes() == want.tobytes()
+
     def test_baselines_respect_caps_and_budget(self):
         params = default_params()
         for seed in range(5):
