@@ -4,10 +4,15 @@ and single-instance placement solving, with reproducible CSV/JSON outputs.
 Config files are JSON documents; lengths are in meters, densities per square
 meter, and SIR thresholds in dB (converted to linear exactly once, here at
 the boundary). Every table is built column by column from the array-valued
-closed forms and per-file simulators. Simulation seeds are derived from the
-master seed and the (point, scheme) path; all files of a scheme, all points
-of a p_i sweep, and each validate grid share one simulated scene set, so
-every output depends only on the seeds. Exit codes: 0 success, 1
+closed forms and per-file simulators. Each simulator k (0 hit, 1 secrecy)
+groups a run's (point, scheme) cells by the parameters it reads, all but the
+other SIR threshold, and resolves group g by one call from one scene set
+seeded from the master seed and (k, g), groups numbered in order of first
+appearance; so cells of one group share their scenes (common random
+numbers), and every output depends only on the seeds. A beta sweep, a p_i
+sweep and each validate grid are group 0 of each simulator; a gamma_e sweep
+is one hit group and one secrecy group per point; a D sweep is one group of
+each per point. Exit codes: 0 success, 1
 validation failure, 2 invalid input (including a value of the wrong JSON
 type, an unwritable output path, and parameters that drive a closed form
 out of floating-point range or a quadrature past its error budget).
@@ -312,19 +317,55 @@ def _fmt(value):
     return str(value)
 
 
-def _sim_config(spec, *path):
-    """The spec's trial count, seeded from its master seed and the given path."""
-    seq = np.random.SeedSequence([int(spec.sim.seed)] + [int(x) for x in path])
+def _sim_config(spec, k, g):
+    """The spec's trial count, seeded for group g of simulator k (0 hit, 1 secrecy).
+
+    The seed comes from SeedSequence([master seed, k, g]). SeedSequence pads
+    short entropy with zeros, so (k, 0) seeds as (k) alone did before groups
+    existed, and validate's two grids, group 0 each, keep their seeds.
+    """
+    seq = np.random.SeedSequence([int(spec.sim.seed), k, g])
     seed = int(seq.generate_state(1, np.uint64)[0])
     return SimConfig(trials=spec.sim.trials, seed=seed)
 
 
-def _hit_columns(spec, p, params, *path):
+def _simulated(spec, k, cells):
+    """Simulator k's estimate (0 hit, 1 secrecy) for each (p, params) cell.
+
+    Cells whose params agree on every field the simulator reads (all but the
+    other SIR threshold) form a group. Each group is one call over its
+    cells' concatenated p, from one scene set seeded from (k, g), where g
+    numbers the groups in order of first appearance; each cell gets its
+    slice of the estimate arrays. Without simulation every entry is None.
+    """
+    if spec.sim is None:
+        return [None] * len(cells)
+    # Looked up per call, so that the module's bindings (traced or patched)
+    # are the ones called.
+    simulate, unread = (
+        (simulate_file_hit, "gamma_e") if k == 0 else (simulate_file_secrecy, "gamma_u")
+    )
+    groups = {}
+    for i, (_, params) in enumerate(cells):
+        groups.setdefault(replace(params, **{unread: 1.0}), []).append(i)
+    estimates = [None] * len(cells)
+    for g, members in enumerate(groups.values()):
+        p = np.concatenate([cells[i][0] for i in members])
+        sim = simulate(p, cells[members[0]][1], _sim_config(spec, k, g))
+        ends = np.cumsum([len(cells[i][0]) for i in members])
+        for i, end in zip(members, ends):
+            part = slice(end - len(cells[i][0]), end)
+            estimates[i] = SimEstimate(
+                sim.estimate[part], sim.trials, sim.ci95_halfwidth[part]
+            )
+    return estimates
+
+
+def _hit_columns(p, params, sim):
     """hit_analytic, hit_sim and hit_ci, in that order, at caching probabilities p.
 
-    The simulation is seeded from (*path, 0); without one its columns are None.
+    sim is p's hit estimate; without one the simulated columns are None.
     """
-    sim = spec.sim and simulate_file_hit(p, params, _sim_config(spec, *path, 0))
     return {
         "hit_analytic": conditional_hit_probability(p, params).tolist(),
         "hit_sim": sim and sim.estimate.tolist(),
@@ -332,12 +373,11 @@ def _hit_columns(spec, p, params, *path):
     }
 
 
-def _secrecy_columns(spec, p, params, *path):
+def _secrecy_columns(p, params, sim):
     """secrecy_lb, secrecy_exact, secrecy_sim and secrecy_ci, in that order, at p.
 
-    The simulation is seeded from (*path, 1); without one its columns are None.
+    sim is p's secrecy estimate; without one the simulated columns are None.
     """
-    sim = spec.sim and simulate_file_secrecy(p, params, _sim_config(spec, *path, 1))
     return {
         "secrecy_lb": secrecy_probability_lower_bound(p, params).tolist(),
         "secrecy_exact": secrecy_probability_exact(p, params).tolist(),
@@ -375,12 +415,12 @@ def _rows(columns):
     return [dict(zip(full, cells)) for cells in zip(*full.values())]
 
 
-def _file_columns(spec, p, params, *path):
-    """p_star with its hit and secrecy columns, simulated from the seed path."""
+def _file_columns(p, params, hit, secrecy):
+    """p_star with its hit and secrecy columns, from p's two estimates."""
     return {
         "p_star": p.tolist(),
-        **_hit_columns(spec, p, params, *path),
-        **_secrecy_columns(spec, p, params, *path),
+        **_hit_columns(p, params, hit),
+        **_secrecy_columns(p, params, secrecy),
     }
 
 
@@ -390,7 +430,8 @@ def _p_i_rows(spec):
     Scheme labels do not apply; every point is resolved from one scene set
     per simulator.
     """
-    p = np.asarray(spec.sweep_values)
+    cells = [(np.asarray(spec.sweep_values), spec.params)]
+    (hit,), (secrecy,) = _simulated(spec, 0, cells), _simulated(spec, 1, cells)
     return _rows(
         {
             "sweep_var": "p_i",
@@ -398,21 +439,19 @@ def _p_i_rows(spec):
             "scheme": "FIXED",
             "file_index": 0,
             "psi_cap": None,
-            **_file_columns(spec, p, spec.params, 0, 0),
+            **_file_columns(*cells[0], hit, secrecy),
         }
     )
 
 
-def _scheme_rows(spec, point_idx, value, scheme_idx, params, catalog, caps):
+def _scheme_rows(spec, value, scheme, params, catalog, caps, policy, hit, secrecy):
     """Per-file rows of one (point, scheme), then its aggregate row (file 0)."""
-    scheme = spec.schemes[scheme_idx]
-    policy = _scheme_policy(scheme, catalog, params, spec.fixed_policy)
-    columns = _file_columns(spec, policy.p, params, point_idx, scheme_idx)
+    columns = _file_columns(policy.p, params, hit, secrecy)
     # Popularity-weighted per-file hits: the dot product hit_probability takes.
     q = catalog.popularity
     aggregate = {"hit_analytic": float(np.dot(q, columns["hit_analytic"]))}
-    if spec.sim is not None:
-        mean = SimEstimate.from_mean(np.dot(q, columns["hit_sim"]), spec.sim.trials)
+    if hit is not None:
+        mean = SimEstimate.from_mean(np.dot(q, columns["hit_sim"]), hit.trials)
         aggregate.update(hit_sim=mean.estimate, hit_ci=mean.ci95_halfwidth)
     point = {"sweep_var": spec.sweep_var, "sweep_value": value, "scheme": scheme}
     rows = _rows(
@@ -437,16 +476,28 @@ def _scheme_rows(spec, point_idx, value, scheme_idx, params, catalog, caps):
 
 
 def run_sweep(spec):
-    """Evaluate every (sweep value, scheme) combination; returns CSV rows."""
+    """Evaluate every (sweep value, scheme) combination; returns CSV rows.
+
+    Every (point, scheme) is placed first, so that each simulator resolves
+    all of them that share its parameters from one scene set.
+    """
     if spec.sweep_var is None:
         raise SpecError("sweep command requires a 'sweep' section in the config")
     if spec.sweep_var == "p_i":
         return _p_i_rows(spec)
+    placed = []  # (value, scheme, params, catalog, caps, policy), point-major
+    for value in spec.sweep_values:
+        params, catalog, caps = _point(spec, value)
+        placed += [
+            (value, scheme, params, catalog, caps,
+             _scheme_policy(scheme, catalog, params, spec.fixed_policy))
+            for scheme in spec.schemes
+        ]
+    cells = [(policy.p, params) for _, _, params, _, _, policy in placed]
+    hits, secrecies = _simulated(spec, 0, cells), _simulated(spec, 1, cells)
     rows = []
-    for point_idx, value in enumerate(spec.sweep_values):
-        point = _point(spec, value)
-        for scheme_idx in range(len(spec.schemes)):
-            rows += _scheme_rows(spec, point_idx, value, scheme_idx, *point)
+    for cell, hit, secrecy in zip(placed, hits, secrecies):
+        rows += _scheme_rows(spec, *cell, hit, secrecy)
     return rows
 
 
@@ -530,7 +581,9 @@ def run_validate(spec):
     if not hit_grid and not secrecy_grid:
         raise SpecError("validate.hit_p and validate.secrecy_p are both empty")
 
-    hit = _hit_columns(spec, hit_grid, spec.params).values()
+    # Each grid is one cell, so one call seeded as group 0 of its simulator.
+    (hit,) = _simulated(spec, 0, [(hit_grid, spec.params)])
+    hit = _hit_columns(hit_grid, spec.params, hit).values()
     # Files at equal p share their closed form and, from shared scenes, their
     # estimate; the report keeps one row per file.
     report = [
@@ -538,7 +591,8 @@ def run_validate(spec):
         for p, analytic, sim, ci in zip(hit_grid, *hit)
         for i in range(spec.catalog.file_count)
     ]
-    secrecy = _secrecy_columns(spec, secrecy_grid, spec.params).values()
+    (secrecy,) = _simulated(spec, 1, [(secrecy_grid, spec.params)])
+    secrecy = _secrecy_columns(secrecy_grid, spec.params, secrecy).values()
     report += [
         _report_row(name, f"p={p:g}", analytic, sim, ci, secrecy_tol)
         for p, lower, exact, sim, ci in zip(secrecy_grid, *secrecy)

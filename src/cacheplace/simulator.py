@@ -211,17 +211,21 @@ def _far_field(x, s_last, alpha):
     return s_last * kappa2_at(2.0 / alpha, x)
 
 
-def _value_sums(p, params, cfg, exclusion, threshold):
-    """Per file, the sum and the sum of squares of the trials' success values.
+def _value_moments(p, params, cfg, exclusion, threshold):
+    """Per file, the sum of the trials' success values and of their squared deviations.
 
     Only BSs beyond exclusion, in units of pi lam r^2, may serve. Every file
     of a trial is resolved from the same scene; a file with no server in a
-    trial adds 0. A call where no file is ever cached draws no scene.
+    trial adds 0. Each block's deviations are taken from that block's own
+    mean (two passes), and the blocks are merged by the pairwise update of
+    Chan, Golub & LeVeque (1979), so the sum keeps its relative precision
+    where the variance is tiny against the squared mean. A call where no
+    file is ever cached draws no scene.
     """
     reach = _reach(params)
     files = np.argsort(p, kind="stable")
     files = files[p[files] > 0.0]
-    sums = np.zeros((2, len(p)))
+    total, deviations = np.zeros(len(p)), np.zeros(len(p))
     if len(files):
         p_asc = p[files]
         for block, first_trial in enumerate(range(0, cfg.trials, _BLOCK_ROWS)):
@@ -236,9 +240,24 @@ def _value_sums(p, params, cfg, exclusion, threshold):
             record = np.repeat(np.arange(len(v)), count)
             offset = np.cumsum(count) - count - first
             file = np.arange(len(record)) - offset[record]
-            for k, weights in enumerate((v[record], v[record] ** 2)):
-                sums[k, files] += np.bincount(file, weights, minlength=len(files))
-    return sums
+            values = v[record]
+            block_sum = np.bincount(file, values, minlength=len(files))
+            block_mean = block_sum / rows
+            # A file is served at most once per trial; the rest of the rows
+            # score 0.
+            unserved = rows - np.bincount(file, minlength=len(files))
+            squares = (values - block_mean[file]) ** 2
+            block_dev = (
+                np.bincount(file, squares, minlength=len(files))
+                + unserved * block_mean**2
+            )
+            # Merge with the trials before this block (none before the first).
+            shift = block_mean - total[files] / max(first_trial, 1)
+            deviations[files] += (
+                block_dev + shift**2 * (first_trial * rows / (first_trial + rows))
+            )
+            total[files] += block_sum
+    return total, deviations
 
 
 def _file_probabilities(p):
@@ -248,7 +267,7 @@ def _file_probabilities(p):
     return p
 
 
-def _file_estimates(p, sums, trials, complement):
+def _file_estimates(p, moments, trials, complement):
     """Per-file mean values (1 minus them if complement) with 1.96 s / sqrt(n).
 
     s^2 is the values' sample variance, bounded by m (1 - m) at n = 1. At an
@@ -256,11 +275,11 @@ def _file_estimates(p, sums, trials, complement):
     Clopper-Pearson half-width of 0 or n successes, 1 - 0.025^(1/n), which
     holds for any score in [0, 1]; a file with p = 0 is exact.
     """
-    total, squares = sums
+    total, deviations = moments
     mean = total / trials
     estimate = 1.0 - mean if complement else mean
     if trials > 1:
-        variance = np.maximum(squares - total * mean, 0.0) / (trials - 1)
+        variance = deviations / (trials - 1)
     else:
         variance = mean * (1.0 - mean)
     half = 1.96 * np.sqrt(variance / trials)
@@ -280,8 +299,8 @@ def simulate_file_hit(p, params, cfg):
     p, so entry i equals a one-file call at p[i] with the same seed.
     """
     p = _file_probabilities(p)
-    sums = _value_sums(p, params, cfg, -np.inf, params.gamma_u)
-    return _file_estimates(p, sums, cfg.trials, complement=False)
+    moments = _value_moments(p, params, cfg, -np.inf, params.gamma_u)
+    return _file_estimates(p, moments, cfg.trials, complement=False)
 
 
 def simulate_file_secrecy(p, params, cfg):
@@ -297,5 +316,5 @@ def simulate_file_secrecy(p, params, cfg):
     """
     p = _file_probabilities(p)
     guard = math.pi * params.bs_density * params.guard_radius**2
-    sums = _value_sums(p, params, cfg, guard, params.gamma_e)
-    return _file_estimates(p, sums, cfg.trials, complement=True)
+    moments = _value_moments(p, params, cfg, guard, params.gamma_e)
+    return _file_estimates(p, moments, cfg.trials, complement=True)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cacheplace
-from cacheplace.analytic import placement_cap
+from cacheplace.analytic import db_to_linear, placement_cap
 from cacheplace.cli import (
     CSV_COLUMNS,
     SpecError,
@@ -27,7 +28,8 @@ from cacheplace.cli import (
     run_sweep,
     run_validate,
 )
-from cacheplace.simulator import simulate_file_hit, simulate_file_secrecy
+from cacheplace.optimizer import mpc_placement
+from cacheplace.simulator import SimConfig, simulate_file_hit, simulate_file_secrecy
 from cacheplace.special import ConvergenceError
 
 
@@ -42,20 +44,31 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def count_file_simulations(monkeypatch):
-    """Record the p of every per-file simulation the CLI makes, per simulator."""
+def count_file_simulations(monkeypatch, seeds=None):
+    """Record the p of every per-file simulation the CLI makes, per simulator.
+
+    The seed of each call goes to seeds[name] too, if seeds is given.
+    """
     calls = {"hit": [], "secrecy": []}
     for name, simulate in (("hit", simulate_file_hit),
                            ("secrecy", simulate_file_secrecy)):
         def counting(p, params, cfg, name=name, simulate=simulate):
             calls[name].append(list(p))
+            if seeds is not None:
+                seeds.setdefault(name, []).append(cfg.seed)
             return simulate(p, params, cfg)
 
         monkeypatch.setattr(f"cacheplace.cli.simulate_file_{name}", counting)
     return calls
 
 
+def path_seed(master, *path):
+    """The simulator seed of a seed path; group g of simulator k has (k, g)."""
+    return int(np.random.SeedSequence([master, *path]).generate_state(1, np.uint64)[0])
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SIM_COLUMNS = ("hit_sim", "hit_ci", "secrecy_sim", "secrecy_ci")
 
 SMALL_CATALOG = {"source": "inline", "F": 4, "beta": 0.7, "C": 2,
                  "epsilon": [0.1, 0.3, 0.2, 0.4]}
@@ -320,6 +333,21 @@ class TestSweepCommand:
                      "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / f"{config}.csv").read_bytes()
 
+    def test_seeded_golden_without_simulated_cells_is_the_no_sim_csv(self, tmp_path):
+        # Pins the closed-form cells of the seeded golden: blanking its four
+        # simulated columns gives the --no-sim run of its config.
+        out = tmp_path / "result.csv"
+        assert main(["sweep", "--config", str(GOLDEN / "sweep_beta_sim.json"),
+                     "--out", str(out), "--no-sim"]) == 0
+        lines = (GOLDEN / "sweep_beta_sim.csv").read_text().splitlines()
+        blank = [CSV_COLUMNS.index(column) for column in SIM_COLUMNS]
+        blanked = [lines[0]] + [
+            ",".join("" if i in blank else cell
+                     for i, cell in enumerate(line.split(",")))
+            for line in lines[1:]
+        ]
+        assert out.read_text() == "\n".join(blanked) + "\n"
+
     def test_one_placement_cap_per_point(self, monkeypatch):
         calls = []
 
@@ -351,25 +379,88 @@ class TestSweepCommand:
         assert "error: validate.hit_tol must be finite and >= 0" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_one_secrecy_simulation_per_point_and_scheme(self, monkeypatch):
-        calls = []
-
-        def counting(p, params, cfg):
-            calls.append(len(p))
-            return simulate_file_secrecy(p, params, cfg)
-
-        monkeypatch.setattr("cacheplace.cli.simulate_file_secrecy", counting)
+    @pytest.mark.parametrize(
+        ("variable", "hit_calls", "secrecy_calls"),
+        [("beta", 1, 1), ("gamma_e", 1, 3), ("D", 3, 3)],
+    )
+    def test_one_simulation_per_group(
+        self, monkeypatch, variable, hit_calls, secrecy_calls
+    ):
+        # The hit simulator never reads gamma_e and the secrecy simulator
+        # never reads gamma_u, so each groups the cells that agree on the rest.
+        calls = count_file_simulations(monkeypatch)
+        values = {"beta": [0.2, 0.8, 1.1], "gamma_e": [-10.0, -7.0, 0.0],
+                  "D": [0.0, 100.0, 300.0]}[variable]
         spec = parse_spec(
             {
                 "catalog": SMALL_CATALOG,
-                "sweep": {"variable": "beta", "values": [0.2, 0.8]},
+                "sweep": {"variable": variable, "values": values},
                 "schemes": ["OCP", "MPC"],
                 "sim": {"trials": 5, "seed": 3},
             }
         )
         rows = run_sweep(spec)
-        assert calls == [4] * 4
+        cells = 3 * 2 * SMALL_CATALOG["F"]
+        assert [len(p) for p in calls["hit"]] == [cells // hit_calls] * hit_calls
+        assert [len(p) for p in calls["secrecy"]] == (
+            [cells // secrecy_calls] * secrecy_calls
+        )
         assert all(r["secrecy_sim"] is not None for r in rows if r["file_index"])
+
+    def test_cells_are_slices_of_one_call_per_group(self):
+        # gamma_e sweep: one hit group over every (point, scheme), and one
+        # secrecy group per point over its schemes.
+        values = [-10.0, 0.0]
+        spec = parse_spec(
+            {
+                "catalog": SMALL_CATALOG,
+                "sweep": {"variable": "gamma_e", "values": values},
+                "schemes": ["OCP", "LCC", "FIXED"],
+                "fixed_policy": 0.3,
+                "sim": {"trials": 300, "seed": 9},
+            }
+        )
+        rows = [r for r in run_sweep(spec) if r["file_index"]]
+        per_point = len(rows) // len(values)
+
+        def group_call(simulate, group_rows, params, k, g):
+            p = np.array([r["p_star"] for r in group_rows])
+            cfg = SimConfig(trials=300, seed=path_seed(9, k, g))
+            return simulate(p, params, cfg)
+
+        hit = group_call(simulate_file_hit, rows, spec.params, 0, 0)
+        assert [r["hit_sim"] for r in rows] == hit.estimate.tolist()
+        assert [r["hit_ci"] for r in rows] == hit.ci95_halfwidth.tolist()
+        for g, value in enumerate(values):
+            point_rows = rows[g * per_point:(g + 1) * per_point]
+            params = replace(spec.params, gamma_e=db_to_linear(value))
+            secrecy = group_call(simulate_file_secrecy, point_rows, params, 1, g)
+            assert [r["secrecy_sim"] for r in point_rows] == secrecy.estimate.tolist()
+            assert [r["secrecy_ci"] for r in point_rows] == (
+                secrecy.ci95_halfwidth.tolist()
+            )
+
+    def test_equal_p_at_equal_params_gets_equal_cells(self):
+        # MPC's placement does not depend on beta, and FIXED repeats it: all
+        # four (point, scheme) cells place the files alike, and share scenes.
+        spec = parse_spec({"catalog": SMALL_CATALOG})
+        p = mpc_placement(spec.catalog, spec.params).p.tolist()
+        spec = parse_spec(
+            {
+                "catalog": SMALL_CATALOG,
+                "sweep": {"variable": "beta", "values": [0.5, 1.0]},
+                "schemes": ["MPC", "FIXED"],
+                "fixed_policy": p,
+                "sim": {"trials": 40, "seed": 2},
+            }
+        )
+        rows = run_sweep(spec)
+        blocks = [rows[i:i + 4] for i in range(0, len(rows), 5)]
+        assert len(blocks) == 4
+        for block in blocks:
+            assert [r["p_star"] for r in block] == p
+            for column in SIM_COLUMNS:
+                assert [r[column] for r in block] == [r[column] for r in blocks[0]]
 
     def test_run_sweep_row_order_is_point_major(self, tmp_path):
         spec = parse_spec(
@@ -418,7 +509,8 @@ class TestValidateCommand:
         assert code in (0, 1)
 
     def test_one_secrecy_simulation_for_the_grid(self, monkeypatch):
-        calls = count_file_simulations(monkeypatch)
+        seeds = {}
+        calls = count_file_simulations(monkeypatch, seeds)
         spec = parse_spec(
             {
                 "catalog": SMALL_CATALOG,
@@ -428,6 +520,8 @@ class TestValidateCommand:
         )
         report, _ = run_validate(spec)
         assert calls == {"hit": [[0.5, 1.0]], "secrecy": [[0.2, 0.5, 0.8]]}
+        # Group 0 of each simulator seeds as the paths (0) and (1) did.
+        assert seeds == {"hit": [path_seed(3, 0)], "secrecy": [path_seed(3, 1)]}
         assert len(report) == 2 * 4 + 2 * 3
 
     def test_sidecar_echoes_the_resolved_settings(self, tmp_path):

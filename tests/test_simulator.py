@@ -338,8 +338,9 @@ def assert_estimates_match(est, scores, p):
     """An estimate against per-trial scores: mean, and 1.96 s / sqrt(n).
 
     The engine sums the values v, not the scores: a secrecy estimate
-    1 - mean(v) is good to about 1e-16 absolute, and where the variance is
-    tiny against the squared mean, a one-pass variance to about 1e-16 n.
+    1 - mean(v) is good to about 1e-16 absolute, and so is its half-width,
+    which comes from two-pass sums about each block's mean even where the
+    variance is tiny against the squared mean.
     """
     n = len(scores)
     mean = scores.mean(axis=0)
@@ -350,7 +351,7 @@ def assert_estimates_match(est, scores, p):
         half = 1.96 * scores.std(axis=0, ddof=1) / math.sqrt(n)
     edge = (np.asarray(p) > 0.0) & ((mean == 0.0) | (mean == 1.0))
     half = np.where(edge, 1.0 - 0.025 ** (1.0 / n), half)
-    np.testing.assert_allclose(est.ci95_halfwidth, half, rtol=1e-9, atol=1e-10)
+    np.testing.assert_allclose(est.ci95_halfwidth, half, rtol=1e-12, atol=1e-15)
 
 
 def assert_matches_reference(p, params, cfg):
