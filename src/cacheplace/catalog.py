@@ -20,6 +20,14 @@ class CatalogError(ValueError):
     """A catalog or policy invariant is violated; message names the field."""
 
 
+def _check_count(name, value, least):
+    """Raise CatalogError unless value is an integer, not a bool, >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise CatalogError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise CatalogError(f"{name} must be >= {least}, got {value}")
+
+
 def zipf_popularity(file_count, beta):
     """Zipf request probabilities q_i = i^-beta / sum_j j^-beta for i = 1..F.
 
@@ -27,8 +35,7 @@ def zipf_popularity(file_count, beta):
     the head. Normalization uses compensated summation so long tails with
     small beta stay accurate.
     """
-    if file_count < 1:
-        raise CatalogError(f"file_count must be >= 1, got {file_count}")
+    _check_count("file_count", file_count, 1)
     if not 0 <= beta < math.inf:
         raise CatalogError(f"beta must be finite and >= 0, got {beta}")
     weights = [1.0 / i**beta for i in range(1, file_count + 1)]
@@ -73,11 +80,7 @@ class FileCatalog:
                 "secrecy_levels must lie in [0, 1); a level of 1 forces a zero "
                 "caching probability"
             )
-        size = self.cache_size
-        if isinstance(size, bool) or not isinstance(size, numbers.Integral):
-            raise CatalogError(f"cache_size must be an integer, got {size!r}")
-        if self.cache_size < 1:
-            raise CatalogError(f"cache_size must be >= 1, got {self.cache_size}")
+        _check_count("cache_size", self.cache_size, 1)
         if self.cache_size >= self.file_count:
             raise CatalogError(
                 f"cache_size must be smaller than file_count, "
@@ -107,6 +110,8 @@ def sample_secrecy_levels(file_count, eps_max, seed):
     """
     if not 0 < eps_max < 1:
         raise CatalogError(f"eps_max must lie in (0, 1), got {eps_max}")
+    _check_count("seed", seed, 0)
+    _check_count("file_count", file_count, 1)
     rng = np.random.default_rng(seed)
     u = rng.random(file_count)
     while np.any(u == 0.0):  # keep the interval open at 0

@@ -24,8 +24,14 @@ unit exponentials (pi lam r^2, in distance order), with the eavesdroppers
 that a guard check from those BSs can see. Chunk c of block b has its own
 generator, keyed on (seed, b, c), and is drawn for every row, so the draws
 depend only on the seed and the trial count, never on p. Chunks are drawn
-while some row has an unserved file and has not passed the reach (_reach);
-a file with no eligible BS within reach scores 0 for hit and 1 for secrecy.
+while some row is open: it has an unserved file, has not passed the reach
+(_reach), and a later server could still score above epsilon = e^-40, about
+4e-18. A server beyond the last BS drawn, at r_L, scores at most
+prod_j 1 / (1 + theta (r_L / r_j)^alpha) over the drawn BSs, all of which
+interfere with it, so a row closes once that bound falls below epsilon; it
+is checked after chunks 0, 1, 3, 7, ... of the block. A file with no
+eligible BS within reach, or none before its row closed, scores 0 for hit
+and 1 for secrecy: each estimate is off by less than epsilon.
 
 All files of a trial share its scene (common random numbers): one caching
 uniform per BS decides which files it holds, so the serving BSs are the
@@ -60,6 +66,8 @@ _BLOCK_ROWS = 2**14 // _CHUNK
 _MIN_EXPECTED_BS = 1000
 # Expected points of a block's first chunk, its largest, at the most.
 _MAX_CHUNK_POINTS = 10**6
+# A row closes once no later server can score above epsilon = e^-_LOG_EPSILON.
+_LOG_EPSILON = 40.0
 
 
 class SimulationConfigError(ValueError):
@@ -155,8 +163,9 @@ def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold
     A record with caching uniform u serves the files with p in (u, before];
     v is its conditional success probability. exclusion and reach bound the
     eligible BSs in units of pi lam r^2. Chunks are drawn while some row
-    has no record below p_min yet and has not passed the reach; each chunk
-    is walked only by those rows, from each row's running minimum.
+    has no record below p_min yet, has not passed the reach and has not
+    been closed by the bound on later servers; each chunk is walked only by
+    those rows, from each row's running minimum.
     """
     half_alpha = params.alpha / 2.0
     powers, eavs, found = [], [], []  # per chunk: s^(alpha/2), eavesdroppers
@@ -197,6 +206,12 @@ def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold
                       s[row, -1], np.log1p(factor).sum(axis=1)))
         best[open_rows] = np.minimum(best[open_rows], u.min(axis=1))
         open_rows = open_rows[(best[open_rows] >= p_min) & (start[open_rows] < reach)]
+        if open_rows.size and not chunk & (chunk + 1):  # chunks 0, 1, 3, 7, ...
+            # A later server lies beyond the last BS drawn, so each drawn BS
+            # interferes with it at least as much as with a server there.
+            drawn = np.concatenate([c[open_rows] for c in powers], axis=1)
+            bound = np.log1p(threshold * drawn[:, -1:] / drawn).sum(axis=1)
+            open_rows = open_rows[bound <= _LOG_EPSILON]
     u, before, x, s_last, log_sum = map(np.concatenate, zip(*found))
     return u, before, np.exp(-(log_sum + _far_field(x, s_last, params.alpha)))
 

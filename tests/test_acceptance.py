@@ -8,6 +8,7 @@ not be loosened to make a criterion pass.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,7 +335,7 @@ def test_criterion_9_deterministic_csv_output(tmp_path):
     for name in ("a.csv", "b.csv", "c.csv"):
         out = str(tmp_path / name)
         assert main(["sweep", "--config", str(config), "--out", out]) == 0
-        outputs.append(open(out, "rb").read())
+        outputs.append(Path(out).read_bytes())
     ok = outputs[0] == outputs[1] == outputs[2]
     report(9, "byte-identical seeded CSV outputs", ok)
     assert ok

@@ -60,6 +60,14 @@ class TestZipfPopularity:
             with pytest.raises(CatalogError, match="beta"):
                 zipf_popularity(10, beta)
 
+    @pytest.mark.parametrize("file_count", [True, 2.5, math.nan, math.inf, "10"])
+    def test_file_count_must_be_an_integer(self, file_count):
+        with pytest.raises(CatalogError, match="file_count must be an integer"):
+            zipf_popularity(file_count, 0.7)
+
+    def test_numpy_file_count_accepted(self):
+        assert np.array_equal(zipf_popularity(np.int64(4), 0.7), zipf_popularity(4, 0.7))
+
 
 class TestMakeCatalog:
     def test_valid(self):
@@ -146,6 +154,29 @@ class TestSampleSecrecyLevels:
     def test_domain_errors(self, eps_max):
         with pytest.raises(CatalogError):
             sample_secrecy_levels(10, eps_max, seed=0)
+
+    @pytest.mark.parametrize("file_count", [True, 2.5, math.nan, math.inf])
+    def test_file_count_must_be_an_integer(self, file_count):
+        with pytest.raises(CatalogError, match="file_count must be an integer"):
+            sample_secrecy_levels(file_count, 0.5, seed=0)
+
+    @pytest.mark.parametrize("file_count", [0, -3])
+    def test_file_count_must_be_positive(self, file_count):
+        with pytest.raises(CatalogError, match="file_count must be >= 1"):
+            sample_secrecy_levels(file_count, 0.5, seed=0)
+
+    @pytest.mark.parametrize("seed", [True, 1.0, None, "7"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(CatalogError, match="seed must be an integer"):
+            sample_secrecy_levels(10, 0.5, seed=seed)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(CatalogError, match="seed must be >= 0, got -1"):
+            sample_secrecy_levels(10, 0.5, seed=-1)
+
+    def test_numpy_counts_accepted(self):
+        a = sample_secrecy_levels(np.int64(10), 0.5, seed=np.uint32(7))
+        assert np.array_equal(a, sample_secrecy_levels(10, 0.5, seed=7))
 
 
 class TestPlacementPolicy:

@@ -2,12 +2,14 @@
 
 import csv
 import errno
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -160,7 +162,7 @@ class TestSweepCommand:
         assert list(rows[0].keys()) == CSV_COLUMNS
         sim_cells = {row["hit_sim"] for row in rows}
         assert sim_cells == {""}
-        sidecar = json.loads(open(out + ".spec.json").read())
+        sidecar = json.loads(Path(out + ".spec.json").read_text())
         assert sidecar["sweep"] == {"variable": "beta", "values": [0.2, 0.8]}
         assert sidecar["params"]["gamma_u_linear"] == pytest.approx(10 ** (-0.5))
         assert sidecar["params"]["gamma_u_db"] == -5.0
@@ -177,7 +179,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", config, "--out", out, "--no-sim"]) == 0
         spec = parse_spec(doc, config_dir=str(tmp_path), out=out, no_sim=True)
         expected = json.dumps(spec.resolved_dict(), indent=2, sort_keys=True)
-        assert open(out + ".spec.json").read() == expected + "\n"
+        assert Path(out + ".spec.json").read_text() == expected + "\n"
 
     def test_byte_identical_across_runs(self, tmp_path):
         config = write_config(
@@ -192,7 +194,7 @@ class TestSweepCommand:
         for name in ("a.csv", "b.csv", "c.csv"):
             out = str(tmp_path / name)
             assert main(["sweep", "--config", config, "--out", out]) == 0
-            outputs.append(open(out, "rb").read())
+            outputs.append(Path(out).read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0] == outputs[2]
 
@@ -269,7 +271,7 @@ class TestSweepCommand:
         out = str(tmp_path / "result.csv")
         assert main(["sweep", "--config", config, "--out", out]) == 0
         rows = read_csv(out)
-        sidecar = json.loads(open(out + ".spec.json").read())
+        sidecar = json.loads(Path(out + ".spec.json").read_text())
         trials = sidecar["sim"]["trials"]
         ranks = np.arange(1, SMALL_CATALOG["F"] + 1)
 
@@ -530,7 +532,7 @@ class TestValidateCommand:
         )
         out = str(tmp_path / "validate.csv")
         assert main(["validate", "--config", config, "--out", out]) in (0, 1)
-        sidecar = json.loads(open(out + ".spec.json").read())
+        sidecar = json.loads(Path(out + ".spec.json").read_text())
         assert sidecar["validate"] == {
             "hit_p": [0.2, 0.5, 1.0], "secrecy_p": [0.2, 0.5, 0.8],
             "hit_tol": 0.01, "secrecy_tol": 0.015,
@@ -580,7 +582,7 @@ class TestSolveCommand:
         config = write_config(tmp_path, {"catalog": SMALL_CATALOG})
         out = str(tmp_path / "solution.json")
         assert main(["solve", "--config", config, "--out", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         stdout_doc = json.loads(capsys.readouterr().out)
         assert doc == stdout_doc
         assert len(doc["p_star"]) == 4
@@ -606,7 +608,7 @@ class TestSolveCommand:
         solution = run_solve(parse_spec(doc))
         expected = json.dumps(solution, indent=2)
         assert capsys.readouterr().out == expected + "\n"
-        assert open(out).read() == expected + "\n"
+        assert Path(out).read_text() == expected + "\n"
         fits_budget = sum(solution["caps"]) <= doc["catalog"]["C"]
         assert (solution["dual"] == 0.0) == fits_budget
         assert ("interior" in solution["active_set"]) != fits_budget
@@ -649,19 +651,101 @@ def test_json_text_is_json_dumps_indent_2(doc, sort_keys):
     )
 
 
+def child_env():
+    """The environment of a child Python that imports the package under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cacheplace.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_cli_import_leaves_scipy_out():
     # The package imports nothing from scipy, whose import alone about doubles
     # a fresh process's start-up time and memory; scipy is a test oracle only.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cacheplace.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c",
          "import sys, cacheplace.cli; "
          "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True, timeout=60,
+        env=child_env(), capture_output=True, text=True, check=True, timeout=60,
     )
     assert result.stdout.strip() == "False"
+
+
+class TestProcessExit:
+    """A CLI process exits with every output written and flushed.
+
+    main freezes the import heap so that exit need not walk it; these tests
+    run the CLI as a process of its own, so that its exit is under test.
+    """
+
+    CLI = [sys.executable, "-m", "cacheplace.cli"]
+
+    def run_cli(self, tmp_path, *args):
+        return subprocess.run(
+            self.CLI + list(args), cwd=tmp_path, env=child_env(),
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_solve_into_a_reader_that_stops_early(self, tmp_path):
+        # About 170 kB of JSON, more than a pipe holds: the reader closes it
+        # after 16 bytes, while the CLI is still printing.
+        doc = {"catalog": {"source": "sampled", "F": 5000, "C": 250, "seed": 4}}
+        config = write_config(tmp_path, doc)
+        with open(tmp_path / "stderr", "wb") as err, subprocess.Popen(
+            self.CLI + ["solve", "--config", config, "--out", "solution.json"],
+            cwd=tmp_path, env=child_env(), stdout=subprocess.PIPE, stderr=err,
+        ) as proc:
+            head = proc.stdout.read(16)
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 0
+        expected = json.dumps(run_solve(parse_spec(doc)), indent=2) + "\n"
+        assert len(expected) > 2 * 2**16
+        assert expected.encode().startswith(head)
+        assert (tmp_path / "solution.json").read_text() == expected
+        assert (tmp_path / "stderr").read_bytes() == b""
+
+    def test_failed_validate_writes_its_whole_report(self, tmp_path, capsys):
+        # At p = 1 the paper's secrecy bound lies about 0.035 below the
+        # simulated secrecy, beyond the 0.015 floor: the run exits 1.
+        config = write_config(
+            tmp_path,
+            {"catalog": SMALL_CATALOG, "sim": {"trials": 4000, "seed": 1},
+             "validate": {"hit_p": [0.5], "secrecy_p": [1.0]}},
+        )
+        in_process = tmp_path / "in_process.csv"
+        assert main(["validate", "--config", config, "--out", str(in_process)]) == 1
+        printed = capsys.readouterr().out
+        result = self.run_cli(tmp_path, "validate", "--config", config, "--out", "child.csv")
+        assert result.returncode == 1
+        assert (result.stdout, result.stderr) == (printed, "")
+        assert (tmp_path / "child.csv").read_bytes() == in_process.read_bytes()
+        sidecar = json.loads((tmp_path / "child.csv.spec.json").read_text())
+        assert sidecar["sim"]["trials"] == 4000
+
+    def test_invalid_input_prints_one_error_line(self, tmp_path):
+        config = write_config(tmp_path, {"catalog": {**SMALL_CATALOG, "C": 9}})
+        result = self.run_cli(tmp_path, "solve", "--config", config, "--out", "s.json")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: cache_size must be smaller")
+        assert not (tmp_path / "s.json").exists()
+
+    def test_collector_still_runs_after_main(self, tmp_path, capsys):
+        # main freezes what is alive when it starts; the collector stays on
+        # and still frees a cycle made after it returns.
+        config = write_config(tmp_path, {"catalog": SMALL_CATALOG})
+        assert main(["solve", "--config", config]) == 0
+        assert gc.isenabled()
+
+        class Node:
+            pass
+
+        node = Node()
+        node.self = node
+        ref = weakref.ref(node)
+        del node
+        gc.collect()
+        assert ref() is None
 
 
 class TestErrorHandling:
@@ -674,9 +758,9 @@ class TestErrorHandling:
             tmp_path, {**base, "params": {"tx_power": 5.0}}, "power.json"
         )
         assert main(["sweep", "--config", plain, "--out", out, "--no-sim"]) == 0
-        expected = open(out, "rb").read()
+        expected = Path(out).read_bytes()
         assert main(["sweep", "--config", with_power, "--out", out, "--no-sim"]) == 0
-        assert open(out, "rb").read() == expected
+        assert Path(out).read_bytes() == expected
 
     def test_guard_zone_overflow_exits_2(self, tmp_path, capsys):
         # pi * lambda_e * D^2 = 883.6 at D = 30 km overflows exp().

@@ -392,6 +392,29 @@ def test_rare_files_match_reference():
     assert_matches_reference(np.array([0.002, 0.02, 1.0]), params, cfg)
 
 
+def test_rows_close_once_no_later_server_can_score(monkeypatch):
+    # At the default thresholds the 128 nearest BSs already hold any farther
+    # server below e^-40, so a file at p = 0.002, whose server lies about 500
+    # BSs out, draws two chunks where the reach needs 16. What it leaves
+    # unwalked is within the reference's tolerance.
+    params = default_params()
+    cfg = SimConfig(trials=20, seed=3)
+    p = np.array([0.002, 0.3])
+    drawn = []
+
+    def counting(seed, block, chunk, params, start):
+        drawn.append(chunk)
+        return _draw_chunk(seed, block, chunk, params, start)
+
+    monkeypatch.setattr(simulator, "_draw_chunk", counting)
+    for simulate in (simulate_file_hit, simulate_file_secrecy):
+        drawn.clear()
+        simulate(p, params, cfg)
+        assert drawn in ([0], [0, 1])
+    assert simulator._reach(params) > 15 * simulator._CHUNK
+    assert_matches_reference(p, params, cfg)
+
+
 def indicator_reference(p, params, trials, seed, exclusion_radius, threshold):
     """Per trial and file, the 0/1 SIR event with drawn fades, on a window.
 
