@@ -4,18 +4,16 @@ and single-instance placement solving, with reproducible CSV/JSON outputs.
 Config files are JSON documents; lengths are in meters, densities per square
 meter, and SIR thresholds in dB (converted to linear exactly once, here at
 the boundary). Every table is built column by column from the array-valued
-closed forms and per-file simulators. Each simulator k (0 hit, 1 secrecy)
-groups a run's (point, scheme) cells by the parameters it reads, all but the
-other SIR threshold, and resolves group g by one call from one scene set
-seeded from the master seed and (k, g), groups numbered in order of first
-appearance; so cells of one group share their scenes (common random
-numbers), and every output depends only on the seeds. A beta sweep, a p_i
-sweep and each validate grid are group 0 of each simulator; a gamma_e sweep
-is one hit group and one secrecy group per point; a D sweep is one group of
-each per point. Exit codes: 0 success, 1
-validation failure, 2 invalid input (including a value of the wrong JSON
-type, an unwritable output path, and parameters that drive a closed form
-out of floating-point range or a quadrature past its error budget).
+closed forms and per-file simulators. A run has one seed: every simulated
+cell is simulate_file_hit or simulate_file_secrecy at the cell's p and
+params with the spec's SimConfig, bit for bit, so the hit cells of a run
+share their scenes, and so do its secrecy cells (common random numbers);
+the library and the sidecar's sim echo reproduce any cell. Cells that agree
+on the parameters a simulator reads are resolved by one call. Exit codes:
+0 success, 1 validation failure, 2 invalid input (including a value of the
+wrong JSON type, an unwritable output path, an SIR threshold out of
+floating-point range, and parameters that drive a closed form out of
+floating-point range or a quadrature past its error budget).
 A stdout closed by its reader ends the run quietly with the command's own
 status, after every output file is written.
 """
@@ -175,6 +173,18 @@ def _number_list(value, path):
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+def _threshold(value, path):
+    """A JSON number of dB as a linear SIR threshold: a positive, finite float."""
+    value = _number(value, path)
+    try:
+        linear = db_to_linear(value)
+    except OverflowError:
+        linear = np.inf
+    if linear in (0.0, np.inf):
+        raise SpecError(f"{path} leaves float range in linear scale, got {value!r} dB")
+    return linear
+
+
 def _build_catalog(doc, config_dir):
     source = doc.get("source", "sampled")
     where = "catalog"
@@ -224,15 +234,13 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
     """
     doc = _object(doc, "the config")
     params_db = {**DEFAULT_PARAMS, **_object(doc.get("params", {}), "params")}
-    values = [
-        _number(params_db[key], f"params.{key}")
-        for key in (
-            "bs_density", "eaves_density", "alpha", "guard_radius",
-            "gamma_u_db", "gamma_e_db",
-        )
-    ]
-    # NetworkParams' fields in that order, with linear thresholds.
-    params = NetworkParams(*values[:4], *map(db_to_linear, values[4:]))
+    # NetworkParams' fields in order, with the thresholds converted to linear.
+    params = NetworkParams(
+        *(_number(params_db[key], f"params.{key}")
+          for key in ("bs_density", "eaves_density", "alpha", "guard_radius")),
+        *(_threshold(params_db[key], f"params.{key}")
+          for key in ("gamma_u_db", "gamma_e_db")),
+    )
     catalog_doc = _object(doc.get("catalog", {}), "catalog")
     catalog = _build_catalog(catalog_doc, config_dir)
 
@@ -247,6 +255,9 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
             )
         if not sweep_values:
             raise SpecError("sweep values must be non-empty")
+        if sweep_var == "gamma_e":
+            for i, value in enumerate(sweep_values):
+                _threshold(value, f"sweep.values[{i}]")
         if any(b <= a for a, b in zip(sweep_values, sweep_values[1:])):
             raise SpecError("sweep values must be strictly increasing")
 
@@ -318,26 +329,15 @@ def _fmt(value):
     return str(value)
 
 
-def _sim_config(spec, k, g):
-    """The spec's trial count, seeded for group g of simulator k (0 hit, 1 secrecy).
-
-    The seed comes from SeedSequence([master seed, k, g]). SeedSequence pads
-    short entropy with zeros, so (k, 0) seeds as (k) alone did before groups
-    existed, and validate's two grids, group 0 each, keep their seeds.
-    """
-    seq = np.random.SeedSequence([int(spec.sim.seed), k, g])
-    seed = int(seq.generate_state(1, np.uint64)[0])
-    return SimConfig(trials=spec.sim.trials, seed=seed)
-
-
 def _simulated(spec, k, cells):
     """Simulator k's estimate (0 hit, 1 secrecy) for each (p, params) cell.
 
-    Cells whose params agree on every field the simulator reads (all but the
-    other SIR threshold) form a group. Each group is one call over its
-    cells' concatenated p, from one scene set seeded from (k, g), where g
-    numbers the groups in order of first appearance; each cell gets its
-    slice of the estimate arrays. Without simulation every entry is None.
+    Every cell's estimate is the simulator's at its p and params with
+    spec.sim, bit for bit: entry i of a call depends only on the scenes and
+    p[i], and the scenes only on spec.sim. So cells whose params agree on
+    every field the simulator reads (all but the other SIR threshold) are
+    batched into one call over their concatenated p, and each gets its slice
+    of the estimate arrays. Without simulation every entry is None.
     """
     if spec.sim is None:
         return [None] * len(cells)
@@ -350,15 +350,13 @@ def _simulated(spec, k, cells):
     for i, (_, params) in enumerate(cells):
         groups.setdefault(replace(params, **{unread: 1.0}), []).append(i)
     estimates = [None] * len(cells)
-    for g, members in enumerate(groups.values()):
+    for members in groups.values():
         p = np.concatenate([cells[i][0] for i in members])
-        sim = simulate(p, cells[members[0]][1], _sim_config(spec, k, g))
-        ends = np.cumsum([len(cells[i][0]) for i in members])
-        for i, end in zip(members, ends):
-            part = slice(end - len(cells[i][0]), end)
-            estimates[i] = SimEstimate(
-                sim.estimate[part], sim.trials, sim.ci95_halfwidth[part]
-            )
+        sim = simulate(p, cells[members[0]][1], spec.sim)
+        ends = np.cumsum([len(cells[i][0]) for i in members])[:-1]
+        parts = zip(np.split(sim.estimate, ends), np.split(sim.ci95_halfwidth, ends))
+        for i, (estimate, half) in zip(members, parts):
+            estimates[i] = SimEstimate(estimate, sim.trials, half)
     return estimates
 
 
@@ -426,11 +424,7 @@ def _file_columns(p, params, hit, secrecy):
 
 
 def _p_i_rows(spec):
-    """One FIXED row per caching probability of a p_i sweep.
-
-    Scheme labels do not apply; every point is resolved from one scene set
-    per simulator.
-    """
+    """One FIXED row per caching probability of a p_i sweep; schemes do not apply."""
     cells = [(np.asarray(spec.sweep_values), spec.params)]
     (hit,), (secrecy,) = _simulated(spec, 0, cells), _simulated(spec, 1, cells)
     return _rows(
@@ -480,7 +474,7 @@ def run_sweep(spec):
     """Evaluate every (sweep value, scheme) combination; returns CSV rows.
 
     Every (point, scheme) is placed first, so that each simulator resolves
-    all of them that share its parameters from one scene set.
+    all of them that share its parameters in one call.
     """
     if spec.sweep_var is None:
         raise SpecError("sweep command requires a 'sweep' section in the config")
@@ -571,10 +565,7 @@ def _report_row(quantity, point, analytic, simulated, ci, floor):
 
 
 def run_validate(spec):
-    """Compare closed forms against Monte Carlo; returns (report_rows, ok).
-
-    Each grid is simulated by one call, from one scene set.
-    """
+    """Compare closed forms against Monte Carlo; returns (report_rows, ok)."""
     if spec.sim is None:
         raise SpecError("validate requires simulation (remove --no-sim / add 'sim')")
     hit_grid, secrecy_grid = spec.validate["hit_p"], spec.validate["secrecy_p"]
@@ -582,7 +573,6 @@ def run_validate(spec):
     if not hit_grid and not secrecy_grid:
         raise SpecError("validate.hit_p and validate.secrecy_p are both empty")
 
-    # Each grid is one cell, so one call seeded as group 0 of its simulator.
     (hit,) = _simulated(spec, 0, [(hit_grid, spec.params)])
     hit = _hit_columns(hit_grid, spec.params, hit).values()
     # Files at equal p share their closed form and, from shared scenes, their
@@ -643,12 +633,14 @@ def _add_common_flags(sub):
 
 
 def main(argv=None):
-    # main owns the process, and what is alive on entry (the imported
-    # modules) is never garbage. Freezing it moves it to the collector's
-    # permanent generation, so the collections at interpreter exit neither
-    # walk the import heap nor free its cycles one object at a time. Every
-    # output is written and flushed before main returns.
-    gc.freeze()
+    # At a process's first call, what is alive (the imported modules) is
+    # never garbage. Freezing it moves it to the collector's permanent
+    # generation, so the collections at interpreter exit neither walk the
+    # import heap nor free its cycles one object at a time. Later calls
+    # freeze nothing, so that garbage an in-process caller holds stays
+    # collectable. Every output is written and flushed before main returns.
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = argparse.ArgumentParser(
         prog="cacheplace",
         description=(

@@ -21,17 +21,20 @@ variance.
 Trials run in blocks of _BLOCK_ROWS rows. A block draws the BSs nearest the
 origin in chunks of _CHUNK per row, continuing each row's partial sums of
 unit exponentials (pi lam r^2, in distance order), with the eavesdroppers
-that a guard check from those BSs can see. Chunk c of block b has its own
-generator, keyed on (seed, b, c), and is drawn for every row, so the draws
-depend only on the seed and the trial count, never on p. Chunks are drawn
-while some row is open: it has an unserved file, has not passed the reach
-(_reach), and a later server could still score above epsilon = e^-40, about
-4e-18. A server beyond the last BS drawn, at r_L, scores at most
-prod_j 1 / (1 + theta (r_L / r_j)^alpha) over the drawn BSs, all of which
-interfere with it, so a row closes once that bound falls below epsilon; it
-is checked after chunks 0, 1, 3, 7, ... of the block. A file with no
-eligible BS within reach, or none before its row closed, scores 0 for hit
-and 1 for secrecy: each estimate is off by less than epsilon.
+that a guard check from those BSs can see. The hit simulator draws from
+stream 0 of the seed and the secrecy simulator from stream 1, keyed on
+SeedSequence([seed, stream]); chunk c of block b of a stream has its own
+generator, keyed on (key, b, c), and is drawn for every row, so the draws
+depend only on the seed, the stream and the trial count, never on p or on
+the thresholds. Chunks are drawn while some row is open: it has an unserved
+file, has not passed the reach (_reach), and a later server could still
+score above epsilon = e^-40, about 4e-18. A server beyond the last BS drawn,
+at r_L, scores at most prod_j 1 / (1 + theta (r_L / r_j)^alpha) over the
+drawn BSs, all of which interfere with it, so a row closes once that bound
+falls below epsilon; it is checked after chunks 0, 1, 3, 7, ... of the
+block. A file with no eligible BS within reach, or none before its row
+closed, scores 0 for hit and 1 for secrecy: each estimate is off by less
+than epsilon.
 
 All files of a trial share its scene (common random numbers): one caching
 uniform per BS decides which files it holds, so the serving BSs are the
@@ -226,18 +229,21 @@ def _far_field(x, s_last, alpha):
     return s_last * kappa2_at(2.0 / alpha, x)
 
 
-def _value_moments(p, params, cfg, exclusion, threshold):
+def _value_moments(p, params, cfg, stream, exclusion, threshold):
     """Per file, the sum of the trials' success values and of their squared deviations.
 
-    Only BSs beyond exclusion, in units of pi lam r^2, may serve. Every file
-    of a trial is resolved from the same scene; a file with no server in a
-    trial adds 0. Each block's deviations are taken from that block's own
-    mean (two passes), and the blocks are merged by the pairwise update of
-    Chan, Golub & LeVeque (1979), so the sum keeps its relative precision
-    where the variance is tiny against the squared mean. A call where no
-    file is ever cached draws no scene.
+    The scenes come from stream `stream` of cfg.seed. Only BSs beyond
+    exclusion, in units of pi lam r^2, may serve. Every file of a trial is
+    resolved from the same scene; a file with no server in a trial adds 0.
+    Each block's deviations are taken from that block's own mean (two
+    passes), and the blocks are merged by the pairwise update of Chan, Golub
+    & LeVeque (1979), so the sum keeps its relative precision where the
+    variance is tiny against the squared mean. A call where no file is ever
+    cached draws no scene.
     """
     reach = _reach(params)
+    key = np.random.SeedSequence([cfg.seed, stream])
+    seed = int(key.generate_state(1, np.uint64)[0])
     files = np.argsort(p, kind="stable")
     files = files[p[files] > 0.0]
     total, deviations = np.zeros(len(p)), np.zeros(len(p))
@@ -246,7 +252,7 @@ def _value_moments(p, params, cfg, exclusion, threshold):
         for block, first_trial in enumerate(range(0, cfg.trials, _BLOCK_ROWS)):
             rows = min(_BLOCK_ROWS, cfg.trials - first_trial)
             u, before, v = _block_records(
-                cfg.seed, block, rows, params, reach, p_asc[0], exclusion, threshold
+                seed, block, rows, params, reach, p_asc[0], exclusion, threshold
             )
             # Expand each record into its (record, file) pairs; bincount adds
             # each file's values in record order, whatever the other files.
@@ -310,11 +316,11 @@ def simulate_file_hit(p, params, cfg):
     nearest BS that caches the file and is not muted by its guard zone; the
     trial scores the probability that the SIR from that BS exceeds the user
     threshold given the positions, or 0 if no eligible BS lies within reach.
-    All files share each trial's scene, and a scene's draws do not depend on
-    p, so entry i equals a one-file call at p[i] with the same seed.
+    All files share each trial's scene (stream 0 of cfg.seed), whose draws do
+    not depend on p: entry i equals a one-file call at p[i], bit for bit.
     """
     p = _file_probabilities(p)
-    moments = _value_moments(p, params, cfg, -np.inf, params.gamma_u)
+    moments = _value_moments(p, params, cfg, 0, -np.inf, params.gamma_u)
     return _file_estimates(p, moments, cfg.trials, complement=False)
 
 
@@ -326,10 +332,10 @@ def simulate_file_secrecy(p, params, cfg):
     wiretapped BS is the nearest transmitter of the file outside that disk;
     the trial scores the probability that the eavesdropper's SIR falls below
     gamma_e given the positions, or 1 if no eligible transmitter lies within
-    reach. As in simulate_file_hit, entry i equals a one-file call at p[i]
-    with the same seed.
+    reach. Its scenes are stream 1 of cfg.seed; as in simulate_file_hit,
+    entry i equals a one-file call at p[i], bit for bit.
     """
     p = _file_probabilities(p)
     guard = math.pi * params.bs_density * params.guard_radius**2
-    moments = _value_moments(p, params, cfg, guard, params.gamma_e)
+    moments = _value_moments(p, params, cfg, 1, guard, params.gamma_e)
     return _file_estimates(p, moments, cfg.trials, complement=True)

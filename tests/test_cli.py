@@ -31,7 +31,7 @@ from cacheplace.cli import (
     run_validate,
 )
 from cacheplace.optimizer import mpc_placement
-from cacheplace.simulator import SimConfig, simulate_file_hit, simulate_file_secrecy
+from cacheplace.simulator import simulate_file_hit, simulate_file_secrecy
 from cacheplace.special import ConvergenceError
 
 
@@ -62,11 +62,6 @@ def count_file_simulations(monkeypatch, seeds=None):
 
         monkeypatch.setattr(f"cacheplace.cli.simulate_file_{name}", counting)
     return calls
-
-
-def path_seed(master, *path):
-    """The simulator seed of a seed path; group g of simulator k has (k, g)."""
-    return int(np.random.SeedSequence([master, *path]).generate_state(1, np.uint64)[0])
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -409,38 +404,26 @@ class TestSweepCommand:
         )
         assert all(r["secrecy_sim"] is not None for r in rows if r["file_index"])
 
-    def test_cells_are_slices_of_one_call_per_group(self):
-        # gamma_e sweep: one hit group over every (point, scheme), and one
-        # secrecy group per point over its schemes.
-        values = [-10.0, 0.0]
-        spec = parse_spec(
-            {
-                "catalog": SMALL_CATALOG,
-                "sweep": {"variable": "gamma_e", "values": values},
-                "schemes": ["OCP", "LCC", "FIXED"],
-                "fixed_policy": 0.3,
-                "sim": {"trials": 300, "seed": 9},
-            }
-        )
-        rows = [r for r in run_sweep(spec) if r["file_index"]]
-        per_point = len(rows) // len(values)
-
-        def group_call(simulate, group_rows, params, k, g):
-            p = np.array([r["p_star"] for r in group_rows])
-            cfg = SimConfig(trials=300, seed=path_seed(9, k, g))
-            return simulate(p, params, cfg)
-
-        hit = group_call(simulate_file_hit, rows, spec.params, 0, 0)
-        assert [r["hit_sim"] for r in rows] == hit.estimate.tolist()
-        assert [r["hit_ci"] for r in rows] == hit.ci95_halfwidth.tolist()
-        for g, value in enumerate(values):
-            point_rows = rows[g * per_point:(g + 1) * per_point]
-            params = replace(spec.params, gamma_e=db_to_linear(value))
-            secrecy = group_call(simulate_file_secrecy, point_rows, params, 1, g)
-            assert [r["secrecy_sim"] for r in point_rows] == secrecy.estimate.tolist()
-            assert [r["secrecy_ci"] for r in point_rows] == (
-                secrecy.ci95_halfwidth.tolist()
+    def test_gamma_e_sweep_simulated_secrecy_is_monotone(self):
+        # Every gamma_e point is walked on the same secrecy scenes, and each
+        # trial's value only falls as the threshold rises, so the simulated
+        # secrecy does not decrease even in steps far below its CI.
+        values = [round(-8.0 + 0.2 * i, 1) for i in range(11)]
+        for seed in range(1, 6):
+            spec = parse_spec(
+                {
+                    "catalog": SMALL_CATALOG,
+                    "sweep": {"variable": "gamma_e", "values": values},
+                    "schemes": ["FIXED"],
+                    "fixed_policy": 0.5,
+                    "sim": {"trials": 300, "seed": seed},
+                }
             )
+            rows = [r for r in run_sweep(spec) if r["file_index"]]
+            for file in range(SMALL_CATALOG["F"]):
+                secrecy = [r["secrecy_sim"] for r in rows[file::SMALL_CATALOG["F"]]]
+                assert len(secrecy) == len(values)
+                assert all(a <= b for a, b in zip(secrecy, secrecy[1:])), (seed, file)
 
     def test_equal_p_at_equal_params_gets_equal_cells(self):
         # MPC's placement does not depend on beta, and FIXED repeats it: all
@@ -522,8 +505,8 @@ class TestValidateCommand:
         )
         report, _ = run_validate(spec)
         assert calls == {"hit": [[0.5, 1.0]], "secrecy": [[0.2, 0.5, 0.8]]}
-        # Group 0 of each simulator seeds as the paths (0) and (1) did.
-        assert seeds == {"hit": [path_seed(3, 0)], "secrecy": [path_seed(3, 1)]}
+        # Both simulators get the run's own seed.
+        assert seeds == {"hit": [3], "secrecy": [3]}
         assert len(report) == 2 * 4 + 2 * 3
 
     def test_sidecar_echoes_the_resolved_settings(self, tmp_path):
@@ -575,6 +558,65 @@ class TestValidateCommand:
         assert main(["validate", "--config", config, "--out", out]) == 2
         assert "both empty" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("run", ["beta", "D", "gamma_e", "p_i", "validate"])
+def test_every_simulated_cell_is_a_library_call_at_the_runs_sim(run):
+    # One seed per run: each cell's simulated columns are the simulators' at
+    # its p and params with spec.sim, bit for bit, whatever cells the CLI
+    # batches with it.
+    values = {"beta": [0.5, 1.0], "D": [0.0, 150.0, 300.0],
+              "gamma_e": [-10.0, -7.0, 0.0], "p_i": [0.2, 0.6, 1.0]}.get(run)
+    doc = {
+        "catalog": SMALL_CATALOG,
+        "schemes": ["OCP", "LCC", "FIXED"],
+        "fixed_policy": 0.3,
+        "sim": {"trials": 60, "seed": 9},
+        "validate": {"hit_p": [0.2, 1.0], "secrecy_p": [0.3, 0.9]},
+    }
+    if values:
+        doc["sweep"] = {"variable": run, "values": values}
+    spec = parse_spec(doc)
+    cells = []  # (simulator, p, params, the cell's (estimate, ci) per file)
+    if run == "validate":
+        report, _ = run_validate(spec)
+        # Each p's estimate is repeated on the rows of every file (hit) and
+        # of both secrecy forms; the rows of file 1 and of the exact form
+        # carry it.
+        for simulate, grid, rows in (
+            (simulate_file_hit, "hit_p",
+             [r for r in report if r["point"].endswith(" file=1")]),
+            (simulate_file_secrecy, "secrecy_p",
+             [r for r in report if r["quantity"] == "secrecy_exact"]),
+        ):
+            cells.append((simulate, spec.validate[grid], spec.params,
+                          [(r["simulated"], r["ci"]) for r in rows]))
+    else:
+        rows = run_sweep(spec)
+        if run == "p_i":  # one cell, whose p are the sweep's values
+            groups = {None: rows}
+        else:
+            groups = {}
+            for row in rows:
+                if row["file_index"]:
+                    key = (row["sweep_value"], row["scheme"])
+                    groups.setdefault(key, []).append(row)
+            assert len(groups) == len(values) * 3
+        for key, group in groups.items():
+            params = spec.params
+            if run == "D":
+                params = replace(params, guard_radius=key[0])
+            elif run == "gamma_e":
+                params = replace(params, gamma_e=db_to_linear(key[0]))
+            p = [r["p_star"] for r in group]
+            cells += [
+                (simulate, p, params, [(r[f"{name}_sim"], r[f"{name}_ci"]) for r in group])
+                for name, simulate in (("hit", simulate_file_hit),
+                                       ("secrecy", simulate_file_secrecy))
+            ]
+    for simulate, p, params, observed in cells:
+        est = simulate(p, params, spec.sim)
+        assert observed == list(zip(est.estimate.tolist(), est.ci95_halfwidth.tolist()))
 
 
 class TestSolveCommand:
@@ -731,8 +773,9 @@ class TestProcessExit:
         assert not (tmp_path / "s.json").exists()
 
     def test_collector_still_runs_after_main(self, tmp_path, capsys):
-        # main freezes what is alive when it starts; the collector stays on
-        # and still frees a cycle made after it returns.
+        # The first call freezes what is alive when it starts; the collector
+        # stays on and still frees a cycle made after it returns, even one
+        # dropped before a later call, which freezes nothing.
         config = write_config(tmp_path, {"catalog": SMALL_CATALOG})
         assert main(["solve", "--config", config]) == 0
         assert gc.isenabled()
@@ -740,10 +783,17 @@ class TestProcessExit:
         class Node:
             pass
 
-        node = Node()
-        node.self = node
-        ref = weakref.ref(node)
-        del node
+        def dropped_cycle():
+            node = Node()
+            node.self = node
+            return weakref.ref(node)
+
+        ref = dropped_cycle()
+        gc.collect()
+        assert ref() is None
+        ref, frozen = dropped_cycle(), gc.get_freeze_count()
+        assert main(["solve", "--config", config]) == 0
+        assert gc.get_freeze_count() == frozen
         gc.collect()
         assert ref() is None
 
@@ -943,6 +993,28 @@ class TestTypedConfig:
         out = str(tmp_path / "out.csv")
         assert main(["sweep", "--config", config, "--out", out, "--no-sim"]) == 2
         assert "error: ConvergenceError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("doc", "path"),
+        [
+            ({"params": {"gamma_e_db": 4000}}, "params.gamma_e_db"),
+            ({"params": {"gamma_u_db": -4000}}, "params.gamma_u_db"),
+            ({"sweep": {"variable": "gamma_e", "values": [-7.0, 4000]}},
+             "sweep.values[1]"),
+            ({"sweep": {"variable": "gamma_e", "values": [-4000, -7.0]}},
+             "sweep.values[0]"),
+        ],
+    )
+    def test_threshold_out_of_float_range_names_its_key(
+        self, tmp_path, capsys, doc, path
+    ):
+        # 10^(dB / 10) overflows or underflows to 0 as a linear threshold.
+        config = write_config(tmp_path, {"catalog": SMALL_CATALOG, **doc})
+        argv = ["sweep", "--out", str(tmp_path / "r.csv")] if "sweep" in doc else ["solve"]
+        assert main([*argv, "--config", config, "--no-sim"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} leaves float range in linear scale")
+        assert len(err.splitlines()) == 1
 
     def test_overflow_exits_2(self, tmp_path, capsys):
         # 2 ** 1e300 overflows in the Zipf weights.

@@ -42,6 +42,12 @@ def default_params(**overrides):
     return NetworkParams(**kwargs)
 
 
+def stream_seed(seed, stream):
+    """The chunk key of a stream of a seed: 0 for hit scenes, 1 for secrecy."""
+    key = np.random.SeedSequence([seed, stream])
+    return int(key.generate_state(1, np.uint64)[0])
+
+
 def draw_chunks(seed, block, chunks, rows, params):
     """The first `chunks` chunks of a block, each continuing the one before."""
     drawn, start = [], np.zeros(rows)
@@ -124,8 +130,9 @@ class TestBlockDraw:
         draw = simulator._draw_chunk
         monkeypatch.setattr(simulator, "_draw_chunk", spy)
         simulate_file_hit([0.5], params, SimConfig(trials=2 * 256 + 3, seed=5))
+        hit = stream_seed(5, 0)
         assert {(seed, block, rows) for seed, block, _, rows in calls} == {
-            (5, 0, 256), (5, 1, 256), (5, 2, 3)
+            (hit, 0, 256), (hit, 1, 256), (hit, 2, 3)
         }
         for block in range(3):
             chunks = [chunk for _, b, chunk, _ in calls if b == block]
@@ -168,7 +175,7 @@ class TestConfigAndEstimate:
         # 1.96 s / sqrt(n), with s the sample deviation of the trials' values.
         params, cfg = default_params(), SimConfig(trials=400, seed=3)
         est = simulate_file_hit([0.5], params, cfg)
-        values = np.nan_to_num(per_trial_reference([0.5], params, cfg, None, params.gamma_u))
+        values = np.nan_to_num(per_trial_reference([0.5], params, cfg, 0, None, params.gamma_u))
         assert 0.0 < est.estimate[0] < 1.0
         assert est.ci95_halfwidth[0] == pytest.approx(
             1.96 * values[:, 0].std(ddof=1) / math.sqrt(400), rel=1e-9
@@ -285,19 +292,21 @@ def assert_same_estimates(a, b):
     assert np.array_equal(a.ci95_halfwidth, b.ci95_halfwidth)
 
 
-def per_trial_reference(p, params, cfg, exclusion_radius, threshold):
+def per_trial_reference(p, params, cfg, stream, exclusion_radius, threshold):
     """Per trial and file, the success value of the serving BS, nan if none.
 
-    The scenes are the simulator's chunk draws, drawn here as far as a walk
-    needs them; each file is walked BS by BS, and its product over the BSs
-    drawn through the server's chunk and its generating-functional tail are
-    computed here. The reach is read through the module, so a test that
-    patches simulator._reach patches it here too.
+    The scenes are the simulator's chunk draws from stream `stream` of the
+    seed (0 hit, 1 secrecy), drawn here as far as a walk needs them; each
+    file is walked BS by BS, and its product over the BSs drawn through the
+    server's chunk and its generating-functional tail are computed here.
+    The reach is read through the module, so a test that patches
+    simulator._reach patches it here too.
     """
     reach = simulator._reach(params)
     alpha, chunk_size = params.alpha, simulator._CHUNK
     delta = 2.0 / alpha
     excluded = -1.0 if exclusion_radius is None else LAM_PI * exclusion_radius**2
+    seed = stream_seed(cfg.seed, stream)
     values = np.full((cfg.trials, len(p)), np.nan)
     for block, first in enumerate(range(0, cfg.trials, simulator._BLOCK_ROWS)):
         rows = min(simulator._BLOCK_ROWS, cfg.trials - first)
@@ -306,7 +315,7 @@ def per_trial_reference(p, params, cfg, exclusion_radius, threshold):
         def chunk(c):
             while len(chunks) <= c:
                 start = chunks[-1][0][:, -1] if chunks else np.zeros(rows)
-                chunks.append(_draw_chunk(cfg.seed, block, len(chunks), params, start))
+                chunks.append(_draw_chunk(seed, block, len(chunks), params, start))
             return chunks[c]
 
         for trial in range(rows):
@@ -355,9 +364,9 @@ def assert_estimates_match(est, scores, p):
 
 
 def assert_matches_reference(p, params, cfg):
-    values = per_trial_reference(p, params, cfg, None, params.gamma_u)
+    values = per_trial_reference(p, params, cfg, 0, None, params.gamma_u)
     assert_estimates_match(simulate_file_hit(p, params, cfg), np.nan_to_num(values), p)
-    values = per_trial_reference(p, params, cfg, params.guard_radius, params.gamma_e)
+    values = per_trial_reference(p, params, cfg, 1, params.guard_radius, params.gamma_e)
     secrecy = simulate_file_secrecy(p, params, cfg)
     assert_estimates_match(secrecy, 1.0 - np.nan_to_num(values), p)
 
@@ -511,6 +520,19 @@ class TestSimulateSecrecy:
             assert together.ci95_halfwidth.tolist() == [
                 a.ci95_halfwidth[0] for a in alone
             ]
+
+    def test_hit_and_secrecy_draw_their_own_scenes(self):
+        # With no guard zone and gamma_u = gamma_e, both simulators score the
+        # same event: on shared scenes secrecy would be exactly 1 - hit. Each
+        # draws its own stream of the seed, so they agree only statistically.
+        params = default_params(guard_radius=0.0, gamma_e=db_to_linear(-5.0))
+        cfg = SimConfig(trials=2_000, seed=6)
+        hit = simulate_file_hit([0.3, 1.0], params, cfg)
+        secrecy = simulate_file_secrecy([0.3, 1.0], params, cfg)
+        assert np.all(secrecy.estimate != 1.0 - hit.estimate)
+        assert np.all(np.abs(secrecy.estimate - (1.0 - hit.estimate)) <= (
+            hit.ci95_halfwidth + secrecy.ci95_halfwidth
+        ))
 
     def test_window_size_stability(self, monkeypatch):
         # The chunk is the draw's window of nearest BSs: 16 and 256 BSs per
