@@ -131,14 +131,14 @@ class ExperimentSpec:
         }
 
 
-def _load_config(path):
+def _load_config(path, noun="config file"):
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise SpecError(f"cannot read config file {path}: {exc}") from exc
+        raise SpecError(f"cannot read {noun} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SpecError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise SpecError(f"{noun} {path} is not valid JSON: {exc}") from exc
 
 
 def _object(value, path):
@@ -194,11 +194,7 @@ def _build_catalog(doc, config_dir):
             raise SpecError("catalog source 'file' requires a 'path' string")
         if not os.path.isabs(path):
             path = os.path.join(config_dir, path)
-        try:
-            with open(path) as fh:
-                doc = _object(json.load(fh), f"catalog file {path}")
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SpecError(f"cannot read catalog file {path}: {exc}") from exc
+        doc = _object(_load_config(path, "catalog file"), f"catalog file {path}")
         for key in ("F", "beta", "epsilon", "C"):
             if key not in doc:
                 raise SpecError(f"catalog file {path} is missing key {key!r}")

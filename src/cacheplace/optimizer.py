@@ -45,31 +45,30 @@ def _water_fill(catalog, params, caps):
     Needs sum(caps) > C. capped and interior mask the files at their cap and
     those on the water level.
 
-    The clipped sum S(nu) is non-increasing, and piecewise of the form
-    a / sqrt(nu) - b between the 2F breakpoints where a file enters
-    (nu = q_i / tau2) or saturates at its cap
-    (nu = tau2 q_i / (tau1 cap_i + tau2)^2). A binary search over the sorted
-    breakpoints finds the segment containing C; on it the interior set is
-    fixed and the budget equation solves for nu in closed form (Palomar &
-    Fonollosa, IEEE TSP 2005). A segment with no interior file has S
-    constant, so any point of it is optimal: its midpoint.
+    Only ratio = tau2 / tau1 enters the optimum, so the search runs on the
+    level mu = nu * tau2 that each marginal value q_i / (1 + p_i / ratio)^2
+    meets. The clipped sum S(mu) is non-increasing, and a / sqrt(mu) - b
+    between the 2F breakpoints where a file enters (mu = q_i) or saturates
+    at its cap (mu = q_i / (1 + cap_i / ratio)^2 <= q_i). A binary search
+    over the sorted breakpoints finds the segment containing C; on it the
+    interior set is fixed and the budget equation solves for mu in closed
+    form (Palomar & Fonollosa, IEEE TSP 2005). A segment with no interior
+    file has S constant, so any point of it is optimal: its midpoint.
 
-    S(nu) is evaluated at each breakpoint relative to the file whose
-    breakpoint it is, and the interior placement is built from differences
-    of sqrt(q), so neither cancels when tau2 / tau1 is huge; the segment's
-    file sets come from the breakpoint ranks, so tied breakpoints still
-    partition the files.
+    S(mu) at each breakpoint is taken relative to that breakpoint's file,
+    and the interior placement from differences of sqrt(q), so neither
+    cancels when ratio is huge; ranks give the file sets, so tied
+    breakpoints still partition them. Past ~2^53 F nothing depends on
+    ratio, so it is capped at 1e100, where no product with it overflows.
     """
     q = catalog.popularity
     budget = float(catalog.cache_size)
     c = derive_constants(params, params.gamma_u)
-    tau1, tau2 = c.tau1, c.tau2
+    ratio = min(c.tau2 / c.tau1, 1e100)
     file_count = len(q)
     root = np.sqrt(q)
 
-    enter = q / tau2
-    saturate = np.minimum(tau2 * q / (tau1 * caps + tau2) ** 2, enter)
-    points = np.concatenate((saturate, enter))
+    points = np.concatenate((q / (1.0 + caps / ratio) ** 2, q))
     # Stable: each file's saturation point sorts before its entry point.
     order = np.argsort(points, kind="stable")
     rank = np.empty_like(order)
@@ -78,7 +77,7 @@ def _water_fill(catalog, params, caps):
     def total_at(j):
         f = order[j] % file_count
         level_f = caps[f] if order[j] < file_count else 0.0
-        levels = level_f * root / root[f] + (tau2 / tau1) * ((root - root[f]) / root[f])
+        levels = level_f * root / root[f] + ratio * ((root - root[f]) / root[f])
         return float(np.clip(levels, 0.0, caps).sum())
 
     # S is sum(caps) > C at the smallest breakpoint and 0 < C at the largest.
@@ -93,19 +92,19 @@ def _water_fill(catalog, params, caps):
     interior = ~capped & (rank[file_count:] >= hi)
     p = np.where(capped, caps, 0.0)
     k = int(interior.sum())
-    if k == 0:  # S is constant on the segment, so any nu in it is optimal
-        nu = float(0.5 * (points[order[lo]] + points[order[hi]]))
+    if k == 0:  # S is constant on the segment, so any mu in it is optimal
+        mu = float(0.5 * (points[order[lo]] + points[order[hi]]))
     else:
         remaining = budget - float(caps[capped].sum())
         root_in = root[interior]
         root_sum = float(root_in.sum())
-        nu = tau2 * (root_sum / (remaining * tau1 + k * tau2)) ** 2
-        # p_i = R / k + (R + k tau2 / tau1) (r_i - mean r) / sum r sums to R;
+        mu = (root_sum / (remaining / ratio + k)) ** 2
+        # p_i = R / k + (R + k ratio) (r_i - mean r) / sum r sums to R;
         # r_i - mean r is taken from differences to one interior root.
         dev = root_in - root_in[0]
-        spread = (remaining + k * tau2 / tau1) * (dev - dev.mean()) / root_sum
+        spread = (remaining + k * ratio) * (dev - dev.mean()) / root_sum
         p[interior] = np.clip(remaining / k + spread, 0.0, caps[interior])
-    return nu, p, capped, interior
+    return mu / c.tau2, p, capped, interior
 
 
 def solve_ocp(catalog, params):

@@ -160,18 +160,24 @@ class TestSolveOcp:
         assert np.allclose(sol_perm.policy.p, sol.policy.p[perm], atol=1e-8)
 
     def test_dominates_baselines_on_random_instances(self):
-        params = default_params()
-        rng = np.random.default_rng(2024)
-        for _ in range(100):
-            file_count = int(rng.integers(3, 12))
-            cache = int(rng.integers(1, file_count))
-            beta = float(rng.uniform(0.0, 1.5))
-            eps = rng.uniform(0.01, 0.9, size=file_count)
-            cat = make_catalog(file_count, beta, eps, cache)
-            sol = solve_ocp(cat, params)
-            for baseline in (mpc_placement, lcc_placement):
-                value = hit_probability(baseline(cat, params), cat, params)
-                assert sol.objective >= value - 1e-10
+        # Hit probabilities fall to ~1e-180 at D = 20.5 km and ~1e-266 at
+        # 25 km, so OCP is compared relatively; it fills the budget whenever
+        # the caps exceed it.
+        for guard_radius in (200.0, 20500.0, 25000.0):
+            params = default_params(guard_radius=guard_radius)
+            rng = np.random.default_rng(2024)
+            for _ in range(100):
+                file_count = int(rng.integers(3, 12))
+                cache = int(rng.integers(1, file_count))
+                beta = float(rng.uniform(0.0, 1.5))
+                eps = rng.uniform(0.01, 0.9, size=file_count)
+                cat = make_catalog(file_count, beta, eps, cache)
+                sol = solve_ocp(cat, params)
+                if sol.caps.sum() > cache:
+                    assert math.fsum(sol.policy.p) == pytest.approx(cache, rel=1e-12)
+                for baseline in (mpc_placement, lcc_placement):
+                    value = hit_probability(baseline(cat, params), cat, params)
+                    assert sol.objective >= value * (1.0 - 1e-10)
 
 
 class TestWaterFill:
@@ -193,21 +199,27 @@ class TestWaterFill:
 
 
 def assert_water_filling_certificate(catalog, params):
-    """Budget met to 1e-12 C when it binds; KKT stationarity to 1e-6 nu."""
+    """Budget met to 1e-12 C when it binds; KKT stationarity to 1e-6 mu.
+
+    The marginal value q tau2 / (tau1 p + tau2)^2 is compared on the scale
+    mu = nu tau2, as q / (1 + p / ratio)^2 with ratio = tau2 / tau1, where
+    neither side overflows however large tau2 is.
+    """
     sol = solve_ocp(catalog, params)
     budget = catalog.cache_size
     if sol.caps.sum() > budget:
         assert abs(math.fsum(sol.policy.p) - budget) <= 1e-12 * budget
     c = derive_constants(params, params.gamma_u)
-    marginal = catalog.popularity * c.tau2 / (c.tau1 * sol.policy.p + c.tau2) ** 2
-    slack = 1e-6 * sol.dual
+    marginal = catalog.popularity / (1.0 + sol.policy.p / (c.tau2 / c.tau1)) ** 2
+    mu = sol.dual * c.tau2
+    slack = 1e-6 * mu
     for value, state in zip(marginal, sol.active_set):
         if state == "interior":
-            assert abs(value - sol.dual) <= slack
+            assert abs(value - mu) <= slack
         elif state == "capped":
-            assert value >= sol.dual - slack
+            assert value >= mu - slack
         else:
-            assert value <= sol.dual + slack
+            assert value <= mu + slack
 
 
 @st.composite
@@ -230,17 +242,30 @@ def test_water_filling_certificate_on_random_catalogs(catalog):
     assert_water_filling_certificate(catalog, default_params())
 
 
-@pytest.mark.parametrize("guard_km", [1, 2, 3, 5, 8, 15])
+def certificate_catalog(levels):
+    # "tied" files (beta = 0, levels 0) are all interior.
+    eps = sample_secrecy_levels(10, 0.5, seed=1) if levels == "sampled" else [0.0] * 10
+    return make_catalog(10, 0.0 if levels == "tied" else 0.7, eps, 5)
+
+
+@pytest.mark.parametrize("guard_km", [1, 2, 3, 5, 8, 15, 20, 22, 25])
 @pytest.mark.parametrize("levels", ["sampled", "zero", "tied"])
 def test_water_filling_certificate_at_large_guard_radius(guard_km, levels):
     # tau2 / tau1 grows as exp(pi lambda_e D^2), to ~1e96 at D = 15 km, where
-    # each file jumps from 0 to its cap within one ulp of nu. "tied" files
-    # (beta = 0, levels 0) are all interior.
-    eps = sample_secrecy_levels(10, 0.5, seed=1) if levels == "sampled" else [0.0] * 10
-    catalog = make_catalog(10, 0.0 if levels == "tied" else 0.7, eps, 5)
+    # each file jumps from 0 to its cap within one ulp of nu, and to ~1e266
+    # at 25 km, where tau2^2 is past the float range.
     assert_water_filling_certificate(
-        catalog, default_params(guard_radius=1000.0 * guard_km)
+        certificate_catalog(levels), default_params(guard_radius=1000.0 * guard_km)
     )
+
+
+@pytest.mark.parametrize("guard_m", [900.0, 1200.0])
+@pytest.mark.parametrize("levels", ["sampled", "zero", "tied"])
+def test_water_filling_certificate_with_dense_eavesdroppers(guard_m, levels):
+    # At lambda_e = 100 lambda, tau2 / tau1 is ~1e173 at 900 m and ~2e307 at
+    # 1200 m, where 10 tied interior files would make k tau2 / tau1 overflow.
+    params = default_params(eaves_density=100.0 * BS_DENSITY, guard_radius=guard_m)
+    assert_water_filling_certificate(certificate_catalog(levels), params)
 
 
 def test_water_filling_budget_with_tied_files_at_4_km():
