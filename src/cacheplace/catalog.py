@@ -33,12 +33,18 @@ def zipf_popularity(file_count, beta):
 
     beta = 0 gives the uniform distribution; larger beta skews mass toward
     the head. Normalization uses compensated summation so long tails with
-    small beta stay accurate.
+    small beta stay accurate. A beta for which F^beta overflows a float
+    raises CatalogError.
     """
     _check_count("file_count", file_count, 1)
     if not 0 <= beta < math.inf:
         raise CatalogError(f"beta must be finite and >= 0, got {beta}")
-    weights = [1.0 / i**beta for i in range(1, file_count + 1)]
+    try:
+        weights = [1.0 / i**beta for i in range(1, file_count + 1)]
+    except OverflowError:
+        raise CatalogError(
+            f"beta={beta} is too large for F={file_count}: F^beta overflows a float"
+        ) from None
     total = math.fsum(weights)
     return np.array([w / total for w in weights])
 

@@ -36,13 +36,22 @@ block. A file with no eligible BS within reach, or none before its row
 closed, scores 0 for hit and 1 for secrecy: each estimate is off by less
 than epsilon.
 
-All files of a trial share its scene (common random numbers): one caching
-uniform per BS decides which files it holds, so the serving BSs are the
-records of a prefix-minimum walk over the eligible BSs, each serving the
-files with p in (its uniform, the previous record's uniform]; only records
-get a guard check. A record's product stops at the end of its chunk, so a
-file's score depends only on the scene and its own p: entry i of a call
-equals a one-file call at p[i] with the same seed, bit for bit.
+All files of a trial share its scene (common random numbers). A BS is
+eligible if it lies beyond the exclusion and within reach and its guard zone
+does not mute it; a row's first k <= _HEAD eligible BSs of the first chunk
+are its head, and only their caching marks are integrated out: the m-th
+serves a file with probability p (1 - p)^m, and with probability (1 - p)^k
+none of them holds it. Past the head, one caching uniform per BS decides
+which files it holds, so the next server of each file is a record of a
+prefix-minimum walk over the other eligible BSs, serving the files with p in
+(its uniform, the previous record's uniform]. A trial scores
+sum_m p (1 - p)^m S_m + (1 - p)^k S_rec, the mean over the head's marks of
+the success value of the file's server given the rest of the scene (the
+same conditional Monte Carlo as for the fades); at p = 1 it is S_0, the
+first eligible BS's value. Only head BSs and records get a guard check.
+Each success value's product stops at the end of its chunk, so a file's
+score depends only on the scene and its own p: entry i of a call equals a
+one-file call at p[i] with the same seed, bit for bit.
 """
 
 import math
@@ -63,6 +72,8 @@ __all__ = [
 
 # Nearest base stations a chunk adds to each row.
 _CHUNK = 64
+# Eligible base stations of a row whose caching marks a trial averages out.
+_HEAD = 4
 # Trials per block: a chunk of a block holds 2^14 base stations.
 _BLOCK_ROWS = 2**14 // _CHUNK
 # Expected base stations within reach, at the least.
@@ -160,63 +171,150 @@ def _draw_chunk(seed, block, chunk, params, start):
     return s, cache_u, angle, eav
 
 
-def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold):
-    """(u, before, v) of every record of one block, in (chunk, row) order.
+def _guard_table(eav, guard):
+    """A chunk's eavesdroppers sorted by row, then by distance from the origin.
 
-    A record with caching uniform u serves the files with p in (u, before];
-    v is its conditional success probability. exclusion and reach bound the
-    eligible BSs in units of pi lam r^2. Chunks are drawn while some row
-    has no record below p_min yet, has not passed the reach and has not
-    been closed by the bound on later servers; each chunk is walked only by
-    those rows, from each row's running minimum.
+    Returns (key, position, scale): eavesdropper e of block row t has key
+    t scale + |e|, and scale keeps each row's keys, widened by the guard
+    radius, apart from the next row's.
+    """
+    row, col = np.nonzero(~np.isnan(eav.real))
+    position = eav[row, col]
+    distance = np.abs(position)
+    scale = 4.0 * (distance.max() + guard) + 1.0
+    key = row * scale + distance
+    order = np.argsort(key)
+    return key[order], position[order], scale
+
+
+def _muted(s, angle, rows, tables, params):
+    """Whether an eavesdropper lies within the guard radius of each BS.
+
+    BS i sits at s[i] = pi lam r^2 and angle[i] in block row rows[i]; tables
+    holds the _guard_table of each chunk drawn. A BS is compared only with
+    the eavesdroppers of its row whose distance from the origin is within
+    the guard radius of r, and a margin for rounding.
+    """
+    guard = params.guard_radius
+    radius = np.sqrt(s / (math.pi * params.bs_density))
+    position = radius * np.exp(1j * angle)
+    muted = np.zeros(len(s), bool)
+    for key, eav, scale in tables:
+        centre, band = rows * scale + radius, guard + 1e-9 * scale
+        first = np.searchsorted(key, centre - band)
+        count = np.searchsorted(key, centre + band, side="right") - first
+        bs = np.repeat(np.arange(len(s)), count)
+        pair = first[bs] + np.arange(bs.size) - (np.cumsum(count) - count)[bs]
+        gap = eav[pair] - position[bs]
+        muted[bs[gap.real**2 + gap.imag**2 < guard**2]] = True
+    return muted
+
+
+def _side_by_side(chunks, rows):
+    """Rows `rows` of each chunk's array, side by side, in a new array.
+
+    Callers overwrite it; with one chunk drawn there is nothing to join.
+    """
+    if len(chunks) == 1:
+        return chunks[0][rows]
+    return np.concatenate([c[rows] for c in chunks], axis=1)
+
+
+def _success_terms(powers, rows, col, threshold):
+    """(x, log-product) of a server at column col of the last chunk, per row.
+
+    powers holds each chunk's s^(alpha/2). The log-product is the sum of
+    log1p(theta (r_s / r_j)^alpha) over the row's other BSs drawn so far,
+    and x = theta (r_s / r_L)^alpha at the last of them, r_L.
+    """
+    server = threshold * powers[-1][rows, col]
+    factor = _side_by_side(powers, rows)
+    x = server / factor[:, -1]
+    np.divide(server[:, None], factor, out=factor)
+    factor[np.arange(len(rows)), factor.shape[1] - _CHUNK + col] = 0.0  # the server
+    return x, np.log1p(factor, out=factor).sum(axis=1)
+
+
+def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold):
+    """(head, k, row, u, before, v): one block's head values, then its records.
+
+    exclusion and reach bound the eligible BSs in units of pi lam r^2, and a
+    BS muted by its guard zone is not eligible. The head of a row is its
+    first k <= _HEAD eligible BSs of the first chunk; head[m, t] is the
+    success value of row t's m-th one (0 for m >= k[t]). The walk runs over
+    the other eligible BSs: a record of row `row` with caching uniform u
+    serves the files with p in (u, before], and v is its success value.
+    Chunks are drawn while some row has no record below p_min yet, has not
+    passed the reach and has not been closed by the bound on later servers;
+    each chunk is walked only by those rows, from each row's running
+    minimum. Only head BSs and records get a guard check.
     """
     half_alpha = params.alpha / 2.0
-    powers, eavs, found = [], [], []  # per chunk: s^(alpha/2), eavesdroppers
+    powers, tables, found = [], [], []  # per chunk: s^(alpha/2), _guard_table
     start = np.zeros(rows)
-    best = np.full(rows, np.inf)  # minimum uniform of the eligible BSs so far
+    best = np.full(rows, np.inf)  # minimum uniform of the walked BSs so far
     open_rows = np.arange(rows)
     while open_rows.size:
         chunk = len(powers)
         s, cache_u, angle, eav = _draw_chunk(seed, block, chunk, params, start)
         powers.append(s**half_alpha)
-        eavs.append(eav)
+        if eav.shape[1]:
+            tables.append(_guard_table(eav, params.guard_radius))
         start = s[:, -1]
-        s, cache_u, angle = s[open_rows], cache_u[open_rows], angle[open_rows]
-        u = np.where((s > exclusion) & (s <= reach), cache_u, np.inf)
-        checked = np.zeros(u.shape, bool)
+        if chunk:  # the first chunk is walked by every row
+            s, cache_u, angle = s[open_rows], cache_u[open_rows], angle[open_rows]
+        eligible = (s > exclusion) & (s <= reach)
+        head, record = np.zeros(s.shape, bool), np.zeros(s.shape, bool)
+        u, before = np.empty(s.shape), np.empty(s.shape)
+        checked = np.zeros(s.shape, bool)
+        redo = np.arange(len(s))  # the rows whose head or records may change
         while True:
-            before = np.minimum.accumulate(
-                np.column_stack([best[open_rows], u[:, :-1]]), axis=1
+            free = eligible[redo]
+            if not chunk:
+                head[redo] = free & (np.cumsum(free, axis=1) <= _HEAD)
+                free = free & ~head[redo]
+            u[redo] = np.where(free, cache_u[redo], np.inf)
+            before[redo] = np.minimum.accumulate(
+                np.column_stack([best[open_rows[redo]], u[redo, :-1]]), axis=1
             )
-            record = (u < before) & (before >= p_min)
-            row, col = np.nonzero(record & ~checked)
-            near = np.concatenate([e[open_rows[row]] for e in eavs], axis=1)
-            if not near.size:
+            record[redo] = (u[redo] < before[redo]) & (before[redo] >= p_min)
+            row, col = np.nonzero((head[redo] | record[redo]) & ~checked[redo])
+            row = redo[row]
+            if not (row.size and tables):
                 break  # nothing left to check, or no guard zone can mute
             checked[row, col] = True
-            radius = np.sqrt(s[row, col] / (math.pi * params.bs_density))
-            gap = near - (radius * np.exp(1j * angle[row, col]))[:, None]
-            muted = (gap.real**2 + gap.imag**2 < params.guard_radius**2).any(axis=1)
+            muted = _muted(
+                s[row, col], angle[row, col], open_rows[row], tables, params
+            )
             if not muted.any():
                 break
-            u[row[muted], col[muted]] = np.inf
+            row, col = row[muted], col[muted]
+            eligible[row, col] = False
+            redo = row[np.append(True, row[1:] != row[:-1])]  # sorted, once each
+        if not chunk:
+            k = head.sum(axis=1)
+            row, col = np.nonzero(head)
+            head_at = (np.arange(row.size) - (np.cumsum(k) - k)[row], row)
+            head_terms = (*_success_terms(powers, row, col, threshold), start[row])
         row, col = np.nonzero(record)
-        server = threshold * powers[-1][open_rows[row], col]
-        drawn = np.concatenate([c[open_rows[row]] for c in powers], axis=1)
-        factor = server[:, None] / drawn  # theta (r_s / r_j)^alpha
-        factor[np.arange(row.size), chunk * _CHUNK + col] = 0.0  # the server
-        found.append((u[row, col], before[row, col], server / drawn[:, -1],
-                      s[row, -1], np.log1p(factor).sum(axis=1)))
+        trial = open_rows[row]
+        terms = _success_terms(powers, trial, col, threshold)
+        found.append((trial, u[row, col], before[row, col], *terms, start[trial]))
         best[open_rows] = np.minimum(best[open_rows], u.min(axis=1))
         open_rows = open_rows[(best[open_rows] >= p_min) & (start[open_rows] < reach)]
         if open_rows.size and not chunk & (chunk + 1):  # chunks 0, 1, 3, 7, ...
             # A later server lies beyond the last BS drawn, so each drawn BS
             # interferes with it at least as much as with a server there.
-            drawn = np.concatenate([c[open_rows] for c in powers], axis=1)
-            bound = np.log1p(threshold * drawn[:, -1:] / drawn).sum(axis=1)
+            drawn = _side_by_side(powers, open_rows)
+            np.divide(threshold * drawn[:, -1:], drawn, out=drawn)
+            bound = np.log1p(drawn, out=drawn).sum(axis=1)
             open_rows = open_rows[bound <= _LOG_EPSILON]
-    u, before, x, s_last, log_sum = map(np.concatenate, zip(*found))
-    return u, before, np.exp(-(log_sum + _far_field(x, s_last, params.alpha)))
+    row, u, before, *records = map(np.concatenate, zip(*found))
+    x, log_sum, s_last = map(np.concatenate, zip(head_terms, records))
+    v = np.exp(-(log_sum + _far_field(x, s_last, params.alpha)))
+    head = np.zeros((_HEAD, rows))
+    head[head_at] = v[: len(head_at[0])]
+    return head, k, row, u, before, v[len(head_at[0]) :]
 
 
 def _far_field(x, s_last, alpha):
@@ -230,16 +328,18 @@ def _far_field(x, s_last, alpha):
 
 
 def _value_moments(p, params, cfg, stream, exclusion, threshold):
-    """Per file, the sum of the trials' success values and of their squared deviations.
+    """Per file, the sum of the trials' scores and of their squared deviations.
 
     The scenes come from stream `stream` of cfg.seed. Only BSs beyond
-    exclusion, in units of pi lam r^2, may serve. Every file of a trial is
-    resolved from the same scene; a file with no server in a trial adds 0.
-    Each block's deviations are taken from that block's own mean (two
-    passes), and the blocks are merged by the pairwise update of Chan, Golub
-    & LeVeque (1979), so the sum keeps its relative precision where the
-    variance is tiny against the squared mean. A call where no file is ever
-    cached draws no scene.
+    exclusion, in units of pi lam r^2, may serve. A trial's score for a file
+    is its success value averaged over the caching marks of the row's head:
+    the m-th head BS serves with probability p (1 - p)^m, and with
+    probability (1 - p)^k none of the k does and the file's record serves (0
+    if it has none). Each block's deviations are taken from that block's own
+    mean (two passes), and the blocks are merged by the pairwise update of
+    Chan, Golub & LeVeque (1979), so the sum keeps its relative precision
+    where the variance is tiny against the squared mean. A call where no
+    file is ever cached draws no scene.
     """
     reach = _reach(params)
     key = np.random.SeedSequence([cfg.seed, stream])
@@ -249,29 +349,34 @@ def _value_moments(p, params, cfg, stream, exclusion, threshold):
     total, deviations = np.zeros(len(p)), np.zeros(len(p))
     if len(files):
         p_asc = p[files]
+        miss = np.cumprod([np.ones_like(p_asc)] + [1.0 - p_asc] * _HEAD, axis=0)
         for block, first_trial in enumerate(range(0, cfg.trials, _BLOCK_ROWS)):
             rows = min(_BLOCK_ROWS, cfg.trials - first_trial)
-            u, before, v = _block_records(
+            head, k, row, u, before, v = _block_records(
                 seed, block, rows, params, reach, p_asc[0], exclusion, threshold
             )
-            # Expand each record into its (record, file) pairs; bincount adds
-            # each file's values in record order, whatever the other files.
+            # scores[f, t]: entry by entry, the same sums whatever the other files.
+            scores, term = np.empty((2, len(files), rows))
+            np.multiply(p_asc[:, None], head[0], out=scores)
+            for m in range(1, _HEAD):
+                scores += np.multiply((p_asc * miss[m])[:, None], head[m], out=term)
+            # Each record serves a run of files of its row, and a row's runs
+            # tile its files from its last record's up. Label the records in
+            # (row, first file) order: along a row, the running maximum of
+            # the labels at each run's first file is the serving record (0:
+            # none).
             first = np.searchsorted(p_asc, u, side="right")
-            count = np.searchsorted(p_asc, before, side="right") - first
-            record = np.repeat(np.arange(len(v)), count)
-            offset = np.cumsum(count) - count - first
-            file = np.arange(len(record)) - offset[record]
-            values = v[record]
-            block_sum = np.bincount(file, values, minlength=len(files))
+            serves = np.searchsorted(p_asc, before, side="right") > first
+            row, first, v = row[serves], first[serves], v[serves]
+            order = np.lexsort((first, row))
+            label = np.zeros((rows, len(files)), int)
+            label[row[order], first[order]] = np.arange(1, len(v) + 1)
+            served = np.append(0.0, v[order])[np.maximum.accumulate(label, axis=1).T]
+            scores += np.multiply(miss[k].T, served, out=term)
+            block_sum = scores.sum(axis=1)
             block_mean = block_sum / rows
-            # A file is served at most once per trial; the rest of the rows
-            # score 0.
-            unserved = rows - np.bincount(file, minlength=len(files))
-            squares = (values - block_mean[file]) ** 2
-            block_dev = (
-                np.bincount(file, squares, minlength=len(files))
-                + unserved * block_mean**2
-            )
+            np.subtract(scores, block_mean[:, None], out=term)
+            block_dev = np.square(term, out=term).sum(axis=1)
             # Merge with the trials before this block (none before the first).
             shift = block_mean - total[files] / max(first_trial, 1)
             deviations[files] += (
@@ -289,9 +394,9 @@ def _file_probabilities(p):
 
 
 def _file_estimates(p, moments, trials, complement):
-    """Per-file mean values (1 minus them if complement) with 1.96 s / sqrt(n).
+    """Per-file mean scores (1 minus them if complement) with 1.96 s / sqrt(n).
 
-    s^2 is the values' sample variance, bounded by m (1 - m) at n = 1. At an
+    s^2 is the scores' sample variance, bounded by m (1 - m) at n = 1. At an
     estimate of exactly 0 or 1 a simulated file (p > 0) gets the exact
     Clopper-Pearson half-width of 0 or n successes, 1 - 0.025^(1/n), which
     holds for any score in [0, 1]; a file with p = 0 is exact.
@@ -315,7 +420,8 @@ def simulate_file_hit(p, params, cfg):
     Per trial and file, the typical user at the origin associates with the
     nearest BS that caches the file and is not muted by its guard zone; the
     trial scores the probability that the SIR from that BS exceeds the user
-    threshold given the positions, or 0 if no eligible BS lies within reach.
+    threshold given the positions, averaged over the caching marks of the
+    row's head, and 0 if no eligible BS lies within reach.
     All files share each trial's scene (stream 0 of cfg.seed), whose draws do
     not depend on p: entry i equals a one-file call at p[i], bit for bit.
     """
@@ -331,9 +437,10 @@ def simulate_file_secrecy(p, params, cfg):
     within the guard radius of the origin into artificial-noise mode. The
     wiretapped BS is the nearest transmitter of the file outside that disk;
     the trial scores the probability that the eavesdropper's SIR falls below
-    gamma_e given the positions, or 1 if no eligible transmitter lies within
-    reach. Its scenes are stream 1 of cfg.seed; as in simulate_file_hit,
-    entry i equals a one-file call at p[i], bit for bit.
+    gamma_e given the positions, averaged over the caching marks of the row's
+    head, and 1 if no eligible transmitter lies within reach. Its scenes are
+    stream 1 of cfg.seed; as in simulate_file_hit, entry i equals a one-file
+    call at p[i], bit for bit.
     """
     p = _file_probabilities(p)
     guard = math.pi * params.bs_density * params.guard_radius**2

@@ -139,6 +139,24 @@ class TestBlockDraw:
             assert chunks == list(range(len(chunks)))
 
 
+def test_guard_check_agrees_with_every_eavesdropper_of_the_row():
+    # _muted compares a BS only with the eavesdroppers of its row whose
+    # distance from the origin is within the guard radius of the BS's; that
+    # must give what comparing it with all of them gives, over two chunks.
+    params = default_params(guard_radius=600.0)
+    chunks = draw_chunks(stream_seed(5, 0), 0, 2, 256, params)
+    tables = [simulator._guard_table(eav, params.guard_radius) for *_, eav in chunks]
+    eav = np.hstack([eav for *_, eav in chunks])
+    rows = np.repeat(np.arange(256), simulator._CHUNK)
+    for s, _, angle, _ in chunks:
+        muted = simulator._muted(s.ravel(), angle.ravel(), rows, tables, params)
+        position = np.sqrt(s / LAM_PI) * np.exp(1j * angle)
+        gap = np.abs(eav[:, None, :] - position[:, :, None])
+        every = (gap < params.guard_radius).any(axis=2).ravel()
+        assert np.array_equal(muted, every)
+        assert 0.01 < every.mean() < 0.99
+
+
 class TestConfigAndEstimate:
     def test_invalid_configs(self):
         with pytest.raises(SimulationConfigError):
@@ -157,10 +175,12 @@ class TestConfigAndEstimate:
         assert est.ci95_halfwidth == pytest.approx(1.96 * 0.005, rel=1e-12)
         assert SimEstimate.from_mean(0.0, 100).ci95_halfwidth == 0.0
 
-    def test_exact_halfwidth_at_zero_or_all_successes(self):
+    def test_exact_halfwidth_at_zero_or_all_successes(self, monkeypatch):
         # At an estimate of 0 or 1 the sample variance is 0; a simulated file
         # there gets the exact Clopper-Pearson one, 1 - 0.025^(1/n). Files with
-        # p = 0 are exact (hit 0, secrecy 1) and keep a zero half-width.
+        # p = 0 are exact (hit 0, secrecy 1) and keep a zero half-width. With
+        # no BS within reach, no file is ever served.
+        monkeypatch.setattr(simulator, "_reach", lambda params: 1e-6)
         params, cfg = default_params(), SimConfig(trials=5, seed=2)
         exact = 1.0 - 0.025 ** (1.0 / 5)
         hit = simulate_file_hit([1e-9, 0.0], params, cfg)
@@ -175,10 +195,10 @@ class TestConfigAndEstimate:
         # 1.96 s / sqrt(n), with s the sample deviation of the trials' values.
         params, cfg = default_params(), SimConfig(trials=400, seed=3)
         est = simulate_file_hit([0.5], params, cfg)
-        values = np.nan_to_num(per_trial_reference([0.5], params, cfg, 0, None, params.gamma_u))
+        scores = per_trial_reference([0.5], params, cfg, 0, None, params.gamma_u)
         assert 0.0 < est.estimate[0] < 1.0
         assert est.ci95_halfwidth[0] == pytest.approx(
-            1.96 * values[:, 0].std(ddof=1) / math.sqrt(400), rel=1e-9
+            1.96 * scores[:, 0].std(ddof=1) / math.sqrt(400), rel=1e-9
         )
 
     def test_single_trial_halfwidth(self):
@@ -292,62 +312,125 @@ def assert_same_estimates(a, b):
     assert np.array_equal(a.ci95_halfwidth, b.ci95_halfwidth)
 
 
-def per_trial_reference(p, params, cfg, stream, exclusion_radius, threshold):
-    """Per trial and file, the success value of the serving BS, nan if none.
+class ReferenceScenes:
+    """The simulator's chunk draws from stream `stream` of the seed, BS by BS.
 
-    The scenes are the simulator's chunk draws from stream `stream` of the
-    seed (0 hit, 1 secrecy), drawn here as far as a walk needs them; each
-    file is walked BS by BS, and its product over the BSs drawn through the
-    server's chunk and its generating-functional tail are computed here.
-    The reach is read through the module, so a test that patches
-    simulator._reach patches it here too.
+    Chunks are drawn as far as a walk needs them. A BS is eligible if it lies
+    beyond the exclusion and no eavesdropper drawn with its chunk or an
+    earlier one is within its guard radius; its success value is its product
+    over the BSs drawn through its chunk, times its generating-functional
+    tail, computed here with scipy's hyp2f1. The reach is read through the
+    module, so a test that patches simulator._reach patches it here too.
     """
-    reach = simulator._reach(params)
-    alpha, chunk_size = params.alpha, simulator._CHUNK
-    delta = 2.0 / alpha
-    excluded = -1.0 if exclusion_radius is None else LAM_PI * exclusion_radius**2
-    seed = stream_seed(cfg.seed, stream)
-    values = np.full((cfg.trials, len(p)), np.nan)
-    for block, first in enumerate(range(0, cfg.trials, simulator._BLOCK_ROWS)):
-        rows = min(simulator._BLOCK_ROWS, cfg.trials - first)
-        chunks = []
 
-        def chunk(c):
-            while len(chunks) <= c:
-                start = chunks[-1][0][:, -1] if chunks else np.zeros(rows)
-                chunks.append(_draw_chunk(seed, block, len(chunks), params, start))
-            return chunks[c]
+    def __init__(self, params, cfg, stream, exclusion_radius, threshold):
+        self.params, self.cfg, self.threshold = params, cfg, threshold
+        self.reach = simulator._reach(params)
+        self.excluded = -1.0 if exclusion_radius is None else LAM_PI * exclusion_radius**2
+        self.seed = stream_seed(cfg.seed, stream)
 
-        for trial in range(rows):
-            for i, p_i in enumerate(p):
-                for k in itertools.count():
-                    c, col = divmod(k, chunk_size)
-                    s, cache_u, angle, _ = chunk(c)
-                    if s[trial, col] > reach:
-                        break  # no server within reach
-                    if cache_u[trial, col] >= p_i or s[trial, col] <= excluded:
-                        continue
-                    position = math.sqrt(s[trial, col] / LAM_PI) * np.exp(1j * angle[trial, col])
-                    eav = np.concatenate([chunk(j)[3][trial] for j in range(c + 1)])
-                    if np.any(np.abs(eav - position) < params.guard_radius):
-                        continue  # muted by its guard zone
-                    drawn = np.concatenate([chunk(j)[0][trial] for j in range(c + 1)])
-                    others = np.delete(drawn, k)
-                    product = np.prod(1.0 / (1.0 + threshold * (drawn[k] / others) ** (alpha / 2)))
-                    x = threshold * (drawn[k] / drawn[-1]) ** (alpha / 2)
-                    tail = drawn[-1] * 2.0 * x / (alpha - 2.0) * special.hyp2f1(
-                        1.0, 1.0 - delta, 2.0 - delta, -x
-                    )
-                    values[first + trial, i] = product * math.exp(-tail)
+    def trials(self):
+        """Yield (trial, bs, eligible, value) per trial, each a function of BS k.
+
+        bs(k) is BS k's (s, cache_u), in distance order; eligible(k) and
+        value(k) say whether it may serve and what it scores if it does.
+        """
+        for block, first in enumerate(range(0, self.cfg.trials, simulator._BLOCK_ROWS)):
+            rows = min(simulator._BLOCK_ROWS, self.cfg.trials - first)
+            chunks = []
+
+            def chunk(c):
+                while len(chunks) <= c:
+                    start = chunks[-1][0][:, -1] if chunks else np.zeros(rows)
+                    chunks.append(_draw_chunk(self.seed, block, len(chunks), self.params, start))
+                return chunks[c]
+
+            for trial in range(rows):
+                yield (first + trial, *self._trial(chunk, trial))
+
+    def _trial(self, chunk, trial):
+        params, alpha = self.params, self.params.alpha
+
+        def bs(k):
+            c, col = divmod(k, simulator._CHUNK)
+            s, cache_u, _, _ = chunk(c)
+            return s[trial, col], cache_u[trial, col]
+
+        def eligible(k):
+            c, col = divmod(k, simulator._CHUNK)
+            s, _, angle, _ = chunk(c)
+            if s[trial, col] <= self.excluded:
+                return False
+            position = math.sqrt(s[trial, col] / LAM_PI) * np.exp(1j * angle[trial, col])
+            eav = np.concatenate([chunk(j)[3][trial] for j in range(c + 1)])
+            return not np.any(np.abs(eav - position) < params.guard_radius)
+
+        def value(k):
+            c = k // simulator._CHUNK
+            drawn = np.concatenate([chunk(j)[0][trial] for j in range(c + 1)])
+            others = np.delete(drawn, k)
+            ratio = self.threshold * (drawn[k] / others) ** (alpha / 2)
+            x = self.threshold * (drawn[k] / drawn[-1]) ** (alpha / 2)
+            delta = 2.0 / alpha
+            tail = drawn[-1] * 2.0 * x / (alpha - 2.0) * special.hyp2f1(
+                1.0, 1.0 - delta, 2.0 - delta, -x
+            )
+            return np.prod(1.0 / (1.0 + ratio)) * math.exp(-tail)
+
+        return bs, eligible, value
+
+
+def per_trial_reference(p, params, cfg, stream, exclusion_radius, threshold):
+    """Per trial and file, the score: its server's value averaged over the head's marks.
+
+    Each trial is walked BS by BS. Its head is its first simulator._HEAD
+    eligible BSs within reach among the first chunk's; the m-th serves with
+    probability p (1 - p)^m. With probability (1 - p)^k none of the k does,
+    and the first eligible BS within reach after the head whose caching
+    uniform is below p serves; a trial with no server scores 0.
+    """
+    scenes = ReferenceScenes(params, cfg, stream, exclusion_radius, threshold)
+    scores = np.zeros((cfg.trials, len(p)))
+    for trial, bs, eligible, value in scenes.trials():
+        head = []
+        for k in range(simulator._CHUNK):
+            if len(head) == simulator._HEAD or bs(k)[0] > scenes.reach:
+                break
+            if eligible(k):
+                head.append(k)
+        head_values = [value(k) for k in head]
+        for i, p_i in enumerate(p):
+            score = sum(p_i * (1.0 - p_i) ** m * v for m, v in enumerate(head_values))
+            for k in itertools.count(head[-1] + 1 if head else 0):
+                s, cache_u = bs(k)
+                if s > scenes.reach:
+                    break  # no server within reach
+                if cache_u < p_i and eligible(k):
+                    score += (1.0 - p_i) ** len(head) * value(k)
                     break
+            scores[trial, i] = score
+    return scores
+
+
+def first_server_reference(params, cfg, stream, exclusion_radius, threshold):
+    """Per trial, the value of its first eligible BS within reach, 0 if none."""
+    scenes = ReferenceScenes(params, cfg, stream, exclusion_radius, threshold)
+    values = np.zeros(cfg.trials)
+    for trial, bs, eligible, value in scenes.trials():
+        for k in itertools.count():
+            if bs(k)[0] > scenes.reach:
+                break
+            if eligible(k):
+                values[trial] = value(k)
+                break
     return values
 
 
 def assert_estimates_match(est, scores, p):
     """An estimate against per-trial scores: mean, and 1.96 s / sqrt(n).
 
-    The engine sums the values v, not the scores: a secrecy estimate
-    1 - mean(v) is good to about 1e-16 absolute, and so is its half-width,
+    The engine sums each trial's success score v, not 1 - v: a secrecy
+    estimate 1 - mean(v) is good to about 1e-16 absolute, and so is its half-width,
     which comes from two-pass sums about each block's mean even where the
     variance is tiny against the squared mean.
     """
@@ -364,11 +447,35 @@ def assert_estimates_match(est, scores, p):
 
 
 def assert_matches_reference(p, params, cfg):
-    values = per_trial_reference(p, params, cfg, 0, None, params.gamma_u)
-    assert_estimates_match(simulate_file_hit(p, params, cfg), np.nan_to_num(values), p)
-    values = per_trial_reference(p, params, cfg, 1, params.guard_radius, params.gamma_e)
-    secrecy = simulate_file_secrecy(p, params, cfg)
-    assert_estimates_match(secrecy, 1.0 - np.nan_to_num(values), p)
+    scores = per_trial_reference(p, params, cfg, 0, None, params.gamma_u)
+    assert_estimates_match(simulate_file_hit(p, params, cfg), scores, p)
+    scores = per_trial_reference(p, params, cfg, 1, params.guard_radius, params.gamma_e)
+    assert_estimates_match(simulate_file_secrecy(p, params, cfg), 1.0 - scores, p)
+
+
+def test_always_cached_file_scores_its_first_eligible_server():
+    # At p = 1 every head weight but the first is 0, and so is the weight
+    # (1 - p)^k of the walk: a trial scores its first eligible BS, as it did
+    # before the head's marks were integrated out. Never-cached files score 0.
+    params = default_params(guard_radius=600.0)
+    cfg = SimConfig(trials=300, seed=12)
+    p = np.array([1.0, 0.0])
+    for simulate, stream, exclusion, threshold, flip in (
+        (simulate_file_hit, 0, None, params.gamma_u, False),
+        (simulate_file_secrecy, 1, params.guard_radius, params.gamma_e, True),
+    ):
+        first = first_server_reference(params, cfg, stream, exclusion, threshold)
+        scores = np.column_stack([first, np.zeros(cfg.trials)])
+        assert_estimates_match(simulate(p, params, cfg), 1.0 - scores if flip else scores, p)
+
+
+def test_integrating_the_head_marks_cuts_the_variance():
+    # At p = 0.2 the caching marks of the head carry most of a file's
+    # variance: the half-widths are about 0.0027 (hit) and 0.0037 (secrecy),
+    # against 0.0120 and 0.0116 when every mark is drawn.
+    params, cfg = default_params(), SimConfig(trials=2_000, seed=3)
+    assert simulate_file_hit([0.2], params, cfg).ci95_halfwidth[0] < 0.005
+    assert simulate_file_secrecy([0.2], params, cfg).ci95_halfwidth[0] < 0.006
 
 
 def test_shared_walk_matches_per_file_reference():
