@@ -4,16 +4,21 @@ and single-instance placement solving, with reproducible CSV/JSON outputs.
 Config files are JSON documents; lengths are in meters, densities per square
 meter, and SIR thresholds in dB (converted to linear exactly once, here at
 the boundary). Every table is built column by column from the array-valued
-closed forms and per-file simulators. A run has one seed: every simulated
-cell is simulate_file_hit or simulate_file_secrecy at the cell's p and
-params with the spec's SimConfig, bit for bit, so the hit cells of a run
+closed forms and per-file simulators, by one rule: each per-file quantity
+is called once per group of (p, params) cells that agree on every parameter
+it reads (hit quantities never read gamma_e, secrecy ones never gamma_u),
+over the group's concatenated p. Each quantity works entry by entry, so
+every cell equals, bit for bit, the library call at its own p and params.
+A run has one seed: every simulated cell is simulate_file_hit or
+simulate_file_secrecy with the spec's SimConfig, so the hit cells of a run
 share their scenes, and so do its secrecy cells (common random numbers);
-the library and the sidecar's sim echo reproduce any cell. Cells that agree
-on the parameters a simulator reads are resolved by one call. Exit codes:
+the library and the sidecar's sim echo reproduce any cell. Exit codes:
 0 success, 1 validation failure, 2 invalid input (including a value of the
-wrong JSON type, an unwritable output path, an SIR threshold out of
-floating-point range, and parameters that drive a closed form out of
-floating-point range or a quadrature past its error budget).
+wrong JSON type, a caching probability outside [0, 1], an unwritable output
+path, an SIR threshold out of floating-point range, and parameters that
+drive a closed form out of floating-point range or a quadrature past its
+error budget; a quadrature failure is raised for the whole group of cells
+whose exact secrecy it evaluates).
 A stdout closed by its reader ends the run quietly with the command's own
 status, after every output file is written.
 """
@@ -166,11 +171,19 @@ def _integer(value, path):
     return int(value)
 
 
-def _number_list(value, path):
-    """A JSON array of numbers as a list of floats."""
+def _number_list(value, path, item=_number):
+    """A JSON array of numbers as a list of floats, each read by item."""
     if not isinstance(value, (list, tuple)):
         raise SpecError(f"{path} must be a list of numbers, got {value!r}")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _probability(value, path):
+    """A JSON number in [0, 1] (which rules out NaN) as a float."""
+    value = _number(value, path)
+    if not 0.0 <= value <= 1.0:
+        raise SpecError(f"{path} must lie in [0, 1], got {value!r}")
+    return value
 
 
 def _threshold(value, path):
@@ -251,9 +264,10 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
             )
         if not sweep_values:
             raise SpecError("sweep values must be non-empty")
-        if sweep_var == "gamma_e":
+        if sweep_var in ("gamma_e", "p_i"):  # gamma_e values stay in dB
+            check = _threshold if sweep_var == "gamma_e" else _probability
             for i, value in enumerate(sweep_values):
-                _threshold(value, f"sweep.values[{i}]")
+                check(value, f"sweep.values[{i}]")
         if any(b <= a for a, b in zip(sweep_values, sweep_values[1:])):
             raise SpecError("sweep values must be strictly increasing")
 
@@ -271,13 +285,11 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
     if doc.get("fixed_policy") is not None:
         raw = doc["fixed_policy"]
         if isinstance(raw, (list, tuple)):
-            fixed_policy = np.asarray(_number_list(raw, "fixed_policy"))
+            fixed_policy = np.asarray(_number_list(raw, "fixed_policy", _probability))
         else:
-            fixed_policy = np.full(catalog.file_count, _number(raw, "fixed_policy"))
+            fixed_policy = np.full(catalog.file_count, _probability(raw, "fixed_policy"))
         if len(fixed_policy) != catalog.file_count:
             raise SpecError("fixed_policy length must equal the catalog size")
-        if not np.all((fixed_policy >= 0) & (fixed_policy <= 1)):
-            raise SpecError("fixed_policy entries must lie in [0, 1]")
     if "FIXED" in schemes and fixed_policy is None:
         raise SpecError("scheme FIXED requires a fixed_policy")
 
@@ -296,7 +308,7 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
 
     validate = {**DEFAULT_VALIDATE, **_object(doc.get("validate", {}), "validate")}
     for key in ("hit_p", "secrecy_p"):
-        validate[key] = _number_list(validate[key], f"validate.{key}")
+        validate[key] = _number_list(validate[key], f"validate.{key}", _probability)
     for key in ("hit_tol", "secrecy_tol"):  # max(ci, tol) needs a finite tol >= 0
         tol = validate[key] = _number(validate[key], f"validate.{key}")
         if not 0.0 <= tol < np.inf:
@@ -325,60 +337,43 @@ def _fmt(value):
     return str(value)
 
 
-def _simulated(spec, k, cells):
-    """Simulator k's estimate (0 hit, 1 secrecy) for each (p, params) cell.
+def _file_columns(spec, cells, sides=("hit", "secrecy")):
+    """Each (p, params) cell's columns of the given sides, as lists.
 
-    Every cell's estimate is the simulator's at its p and params with
-    spec.sim, bit for bit: entry i of a call depends only on the scenes and
-    p[i], and the scenes only on spec.sim. So cells whose params agree on
-    every field the simulator reads (all but the other SIR threshold) are
-    batched into one call over their concatenated p, and each gets its slice
-    of the estimate arrays. Without simulation every entry is None.
+    hit is hit_analytic, hit_sim and hit_ci; secrecy is secrecy_lb,
+    secrecy_exact, secrecy_sim and secrecy_ci, whose simulated columns are
+    None without simulation. Each quantity is called once per group of cells
+    whose params agree on all it reads, and each cell gets its slice.
     """
-    if spec.sim is None:
-        return [None] * len(cells)
     # Looked up per call, so that the module's bindings (traced or patched)
     # are the ones called.
-    simulate, unread = (
-        (simulate_file_hit, "gamma_e") if k == 0 else (simulate_file_secrecy, "gamma_u")
-    )
-    groups = {}
-    for i, (_, params) in enumerate(cells):
-        groups.setdefault(replace(params, **{unread: 1.0}), []).append(i)
-    estimates = [None] * len(cells)
-    for members in groups.values():
-        p = np.concatenate([cells[i][0] for i in members])
-        sim = simulate(p, cells[members[0]][1], spec.sim)
-        ends = np.cumsum([len(cells[i][0]) for i in members])[:-1]
-        parts = zip(np.split(sim.estimate, ends), np.split(sim.ci95_halfwidth, ends))
-        for i, (estimate, half) in zip(members, parts):
-            estimates[i] = SimEstimate(estimate, sim.trials, half)
-    return estimates
-
-
-def _hit_columns(p, params, sim):
-    """hit_analytic, hit_sim and hit_ci, in that order, at caching probabilities p.
-
-    sim is p's hit estimate; without one the simulated columns are None.
-    """
-    return {
-        "hit_analytic": conditional_hit_probability(p, params).tolist(),
-        "hit_sim": sim and sim.estimate.tolist(),
-        "hit_ci": sim and sim.ci95_halfwidth.tolist(),
+    quantities = {
+        "hit": ("gamma_e", simulate_file_hit,
+                {"hit_analytic": conditional_hit_probability}),
+        "secrecy": ("gamma_u", simulate_file_secrecy,
+                    {"secrecy_lb": secrecy_probability_lower_bound,
+                     "secrecy_exact": secrecy_probability_exact}),
     }
-
-
-def _secrecy_columns(p, params, sim):
-    """secrecy_lb, secrecy_exact, secrecy_sim and secrecy_ci, in that order, at p.
-
-    sim is p's secrecy estimate; without one the simulated columns are None.
-    """
-    return {
-        "secrecy_lb": secrecy_probability_lower_bound(p, params).tolist(),
-        "secrecy_exact": secrecy_probability_exact(p, params).tolist(),
-        "secrecy_sim": sim and sim.estimate.tolist(),
-        "secrecy_ci": sim and sim.ci95_halfwidth.tolist(),
-    }
+    simulated = [f"{side}_{kind}" for side in sides for kind in ("sim", "ci")]
+    columns = [dict.fromkeys(simulated) for _ in cells]
+    for side in sides:
+        unread, simulate, forms = quantities[side]
+        groups = {}
+        for i, (_, params) in enumerate(cells):
+            groups.setdefault(replace(params, **{unread: 1.0}), []).append(i)
+        for members in groups.values():
+            p = np.concatenate([cells[i][0] for i in members])
+            params = cells[members[0]][1]
+            values = {name: form(p, params) for name, form in forms.items()}
+            if spec.sim is not None:
+                sim = simulate(p, params, spec.sim)
+                values[f"{side}_sim"] = sim.estimate
+                values[f"{side}_ci"] = sim.ci95_halfwidth
+            ends = np.cumsum([len(cells[i][0]) for i in members])[:-1]
+            for name, value in values.items():
+                for i, part in zip(members, np.split(value, ends)):
+                    columns[i][name] = part.tolist()
+    return columns
 
 
 def _point(spec, value):
@@ -410,45 +405,36 @@ def _rows(columns):
     return [dict(zip(full, cells)) for cells in zip(*full.values())]
 
 
-def _file_columns(p, params, hit, secrecy):
-    """p_star with its hit and secrecy columns, from p's two estimates."""
-    return {
-        "p_star": p.tolist(),
-        **_hit_columns(p, params, hit),
-        **_secrecy_columns(p, params, secrecy),
-    }
-
-
 def _p_i_rows(spec):
     """One FIXED row per caching probability of a p_i sweep; schemes do not apply."""
-    cells = [(np.asarray(spec.sweep_values), spec.params)]
-    (hit,), (secrecy,) = _simulated(spec, 0, cells), _simulated(spec, 1, cells)
+    (columns,) = _file_columns(spec, [(spec.sweep_values, spec.params)])
     return _rows(
         {
             "sweep_var": "p_i",
             "sweep_value": list(spec.sweep_values),
             "scheme": "FIXED",
             "file_index": 0,
+            "p_star": list(spec.sweep_values),
             "psi_cap": None,
-            **_file_columns(*cells[0], hit, secrecy),
+            **columns,
         }
     )
 
 
-def _scheme_rows(spec, value, scheme, params, catalog, caps, policy, hit, secrecy):
+def _scheme_rows(spec, value, scheme, catalog, caps, policy, columns):
     """Per-file rows of one (point, scheme), then its aggregate row (file 0)."""
-    columns = _file_columns(policy.p, params, hit, secrecy)
     # Popularity-weighted per-file hits: the dot product hit_probability takes.
     q = catalog.popularity
     aggregate = {"hit_analytic": float(np.dot(q, columns["hit_analytic"]))}
-    if hit is not None:
-        mean = SimEstimate.from_mean(np.dot(q, columns["hit_sim"]), hit.trials)
+    if spec.sim is not None:
+        mean = SimEstimate.from_mean(np.dot(q, columns["hit_sim"]), spec.sim.trials)
         aggregate.update(hit_sim=mean.estimate, hit_ci=mean.ci95_halfwidth)
     point = {"sweep_var": spec.sweep_var, "sweep_value": value, "scheme": scheme}
     rows = _rows(
         {
             **point,
             "file_index": list(range(1, catalog.file_count + 1)),
+            "p_star": policy.p.tolist(),
             "psi_cap": caps.tolist(),
             **columns,
         }
@@ -469,26 +455,23 @@ def _scheme_rows(spec, value, scheme, params, catalog, caps, policy, hit, secrec
 def run_sweep(spec):
     """Evaluate every (sweep value, scheme) combination; returns CSV rows.
 
-    Every (point, scheme) is placed first, so that each simulator resolves
-    all of them that share its parameters in one call.
+    Every (point, scheme) is placed first, so that each closed form and
+    simulator resolves all of them that share its parameters in one call.
     """
     if spec.sweep_var is None:
         raise SpecError("sweep command requires a 'sweep' section in the config")
     if spec.sweep_var == "p_i":
         return _p_i_rows(spec)
-    placed = []  # (value, scheme, params, catalog, caps, policy), point-major
+    placed, cells = [], []  # (value, scheme, catalog, caps, policy), (p, params)
     for value in spec.sweep_values:
         params, catalog, caps = _point(spec, value)
-        placed += [
-            (value, scheme, params, catalog, caps,
-             _scheme_policy(scheme, catalog, params, spec.fixed_policy))
-            for scheme in spec.schemes
-        ]
-    cells = [(policy.p, params) for _, _, params, _, _, policy in placed]
-    hits, secrecies = _simulated(spec, 0, cells), _simulated(spec, 1, cells)
+        for scheme in spec.schemes:
+            policy = _scheme_policy(scheme, catalog, params, spec.fixed_policy)
+            placed.append((value, scheme, catalog, caps, policy))
+            cells.append((policy.p, params))
     rows = []
-    for cell, hit, secrecy in zip(placed, hits, secrecies):
-        rows += _scheme_rows(spec, *cell, hit, secrecy)
+    for cell, columns in zip(placed, _file_columns(spec, cells)):
+        rows += _scheme_rows(spec, *cell, columns)
     return rows
 
 
@@ -569,21 +552,22 @@ def run_validate(spec):
     if not hit_grid and not secrecy_grid:
         raise SpecError("validate.hit_p and validate.secrecy_p are both empty")
 
-    (hit,) = _simulated(spec, 0, [(hit_grid, spec.params)])
-    hit = _hit_columns(hit_grid, spec.params, hit).values()
+    (hit,) = _file_columns(spec, [(hit_grid, spec.params)], ["hit"])
     # Files at equal p share their closed form and, from shared scenes, their
     # estimate; the report keeps one row per file.
     report = [
         _report_row("hit", f"p={p:g} file={i + 1}", analytic, sim, ci, hit_tol)
-        for p, analytic, sim, ci in zip(hit_grid, *hit)
+        for p, analytic, sim, ci in zip(
+            hit_grid, hit["hit_analytic"], hit["hit_sim"], hit["hit_ci"]
+        )
         for i in range(spec.catalog.file_count)
     ]
-    (secrecy,) = _simulated(spec, 1, [(secrecy_grid, spec.params)])
-    secrecy = _secrecy_columns(secrecy_grid, spec.params, secrecy).values()
+    (secrecy,) = _file_columns(spec, [(secrecy_grid, spec.params)], ["secrecy"])
     report += [
-        _report_row(name, f"p={p:g}", analytic, sim, ci, secrecy_tol)
-        for p, lower, exact, sim, ci in zip(secrecy_grid, *secrecy)
-        for name, analytic in (("secrecy_lb", lower), ("secrecy_exact", exact))
+        _report_row(name, f"p={p:g}", secrecy[name][j], secrecy["secrecy_sim"][j],
+                    secrecy["secrecy_ci"][j], secrecy_tol)
+        for j, p in enumerate(secrecy_grid)
+        for name in ("secrecy_lb", "secrecy_exact")
     ]
     ok = all(row["status"] == "pass" for row in report)
     return report, ok

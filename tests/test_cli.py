@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cacheplace
+from cacheplace import analytic
 from cacheplace.analytic import db_to_linear, placement_cap
 from cacheplace.cli import (
     CSV_COLUMNS,
@@ -61,6 +62,24 @@ def count_file_simulations(monkeypatch, seeds=None):
             return simulate(p, params, cfg)
 
         monkeypatch.setattr(f"cacheplace.cli.simulate_file_{name}", counting)
+    return calls
+
+
+# Each closed-form CSV column and the analytic function that gives it.
+CLOSED_FORMS = {"hit_analytic": "conditional_hit_probability",
+                "secrecy_lb": "secrecy_probability_lower_bound",
+                "secrecy_exact": "secrecy_probability_exact"}
+
+
+def count_closed_form_calls(monkeypatch):
+    """Record the length of p of every per-file closed-form call the CLI makes."""
+    calls = {name: [] for name in CLOSED_FORMS.values()}
+    for name in CLOSED_FORMS.values():
+        def counting(p, params, name=name, form=getattr(analytic, name)):
+            calls[name].append(len(p))
+            return form(p, params)
+
+        monkeypatch.setattr(f"cacheplace.cli.{name}", counting)
     return calls
 
 
@@ -386,22 +405,24 @@ class TestSweepCommand:
         assert "error: validate.hit_tol must be finite and >= 0" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize(
-        ("variable", "hit_calls", "secrecy_calls"),
-        [("beta", 1, 1), ("gamma_e", 1, 3), ("D", 3, 3)],
-    )
+    # Three points of each sweep, and the calls of each hit and each secrecy
+    # quantity they need: every hit quantity reads all parameters but
+    # gamma_e, and every secrecy quantity all but gamma_u.
+    GROUP_VALUES = {"beta": [0.2, 0.8, 1.1], "gamma_e": [-10.0, -7.0, 0.0],
+                    "D": [0.0, 100.0, 300.0]}
+    GROUP_CALLS = [("beta", 1, 1), ("gamma_e", 1, 3), ("D", 3, 3)]
+
+    @pytest.mark.parametrize(("variable", "hit_calls", "secrecy_calls"), GROUP_CALLS)
     def test_one_simulation_per_group(
         self, monkeypatch, variable, hit_calls, secrecy_calls
     ):
         # The hit simulator never reads gamma_e and the secrecy simulator
         # never reads gamma_u, so each groups the cells that agree on the rest.
         calls = count_file_simulations(monkeypatch)
-        values = {"beta": [0.2, 0.8, 1.1], "gamma_e": [-10.0, -7.0, 0.0],
-                  "D": [0.0, 100.0, 300.0]}[variable]
         spec = parse_spec(
             {
                 "catalog": SMALL_CATALOG,
-                "sweep": {"variable": variable, "values": values},
+                "sweep": {"variable": variable, "values": self.GROUP_VALUES[variable]},
                 "schemes": ["OCP", "MPC"],
                 "sim": {"trials": 5, "seed": 3},
             }
@@ -413,6 +434,27 @@ class TestSweepCommand:
             [cells // secrecy_calls] * secrecy_calls
         )
         assert all(r["secrecy_sim"] is not None for r in rows if r["file_index"])
+
+    @pytest.mark.parametrize(("variable", "hit_calls", "secrecy_calls"), GROUP_CALLS)
+    def test_one_closed_form_call_per_group(
+        self, monkeypatch, variable, hit_calls, secrecy_calls
+    ):
+        # The closed forms are grouped by the same rule as the simulators.
+        calls = count_closed_form_calls(monkeypatch)
+        spec = parse_spec(
+            {
+                "catalog": SMALL_CATALOG,
+                "sweep": {"variable": variable, "values": self.GROUP_VALUES[variable]},
+                "schemes": ["OCP", "MPC"],
+            }
+        )
+        run_sweep(spec)
+        cells = 3 * 2 * SMALL_CATALOG["F"]
+        assert calls == {
+            "conditional_hit_probability": [cells // hit_calls] * hit_calls,
+            "secrecy_probability_lower_bound": [cells // secrecy_calls] * secrecy_calls,
+            "secrecy_probability_exact": [cells // secrecy_calls] * secrecy_calls,
+        }
 
     def test_gamma_e_sweep_simulated_secrecy_is_monotone(self):
         # Every gamma_e point is walked on the same secrecy scenes, and each
@@ -627,6 +669,39 @@ def test_every_simulated_cell_is_a_library_call_at_the_runs_sim(run):
     for simulate, p, params, observed in cells:
         est = simulate(p, params, spec.sim)
         assert observed == list(zip(est.estimate.tolist(), est.ci95_halfwidth.tolist()))
+
+
+@pytest.mark.parametrize("variable", ["beta", "D", "gamma_e", "p_i"])
+def test_every_closed_form_cell_is_a_library_call_on_its_own_p(variable):
+    # Each cell's closed forms equal the library's on that cell's p alone,
+    # bit for bit, whatever cells the CLI batches with it. 600 files and two
+    # schemes make groups of 1,200 entries or more, which the exact secrecy
+    # form evaluates in blocks of _DE_BLOCK, so a cell straddles a block edge.
+    assert analytic._DE_BLOCK < 2 * 600
+    values = {"beta": [0.5, 1.0], "D": [0.0, 200.0], "gamma_e": [-10.0, 0.0],
+              "p_i": [0.0, 0.1, 0.5, 1.0]}[variable]
+    spec = parse_spec(
+        {
+            "catalog": {"source": "sampled", "F": 600, "C": 60, "seed": 2},
+            "sweep": {"variable": variable, "values": values},
+            "schemes": ["OCP", "MPC"],
+        }
+    )
+    groups = {}
+    for row in run_sweep(spec):
+        if row["file_index"] or variable == "p_i":
+            groups.setdefault((row["sweep_value"], row["scheme"]), []).append(row)
+    assert len(groups) == (len(values) if variable == "p_i" else 2 * len(values))
+    for (value, _), group in groups.items():
+        params = spec.params
+        if variable == "D":
+            params = replace(params, guard_radius=value)
+        elif variable == "gamma_e":
+            params = replace(params, gamma_e=db_to_linear(value))
+        p = [r["p_star"] for r in group]
+        for column, name in CLOSED_FORMS.items():
+            expected = getattr(analytic, name)(p, params).tolist()
+            assert [r[column] for r in group] == expected, (value, column)
 
 
 class TestSolveCommand:
@@ -1054,6 +1129,41 @@ class TestTypedConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path} leaves float range in linear scale")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        ("argv", "doc", "message"),
+        [
+            (["solve"], {"validate": {"hit_p": [-0.5]}}, "validate.hit_p[0] must lie"),
+            (["sweep", "--no-sim"], {"validate": {"hit_p": [0.5, -0.5]}},
+             "validate.hit_p[1] must lie"),
+            (["validate"], {"validate": {"secrecy_p": [1.5]}},
+             "validate.secrecy_p[0] must lie"),
+            (["validate"], {"validate": {"hit_p": [math.nan]}},
+             "validate.hit_p[0] must lie"),
+            (["sweep"], {"sweep": {"variable": "p_i", "values": [0.5, 1.5]}},
+             "sweep.values[1] must lie"),
+            (["solve"], {"schemes": ["FIXED"], "fixed_policy": [0.5, 2.0, 0.5, 0.5]},
+             "fixed_policy[1] must lie"),
+        ],
+    )
+    def test_probability_out_of_range_names_its_index(
+        self, tmp_path, capsys, monkeypatch, argv, doc, message
+    ):
+        # Every command checks every caching probability of the config when
+        # it reads it, before anything is evaluated or simulated.
+        calls = count_file_simulations(monkeypatch)
+        config = write_config(
+            tmp_path,
+            {"catalog": SMALL_CATALOG, "sweep": {"variable": "beta", "values": [0.5]},
+             "sim": {"trials": 20, "seed": 1}, **doc},
+        )
+        out = tmp_path / "out"
+        assert main([argv[0], "--config", config, "--out", str(out), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message} in [0, 1], got ")
+        assert len(err.splitlines()) == 1
+        assert calls == {"hit": [], "secrecy": []}
+        assert not out.exists()
 
     def test_overflow_exits_2(self, tmp_path, capsys):
         # 2 ** 1e300 overflows in the Zipf weights; the error names beta.

@@ -3,10 +3,13 @@
 ``perfbench/tracer.py`` wraps each traced module's ``__all__`` and, for
 ``cli``, which has none, the functions in its ``CLI_FUNCTIONS``. A name
 missing here would make every traced benchmark run raise, so tier-1 checks
-them. The tracer is read as source, not imported or edited.
+them. ``perfbench/child.py`` also rebinds ``cli.parse_spec`` to timestamp
+the end of set-up, so ``main`` must look that name up through the module.
+The tracer is read as source, not imported or edited.
 """
 
 import ast
+import json
 import importlib
 from pathlib import Path
 
@@ -38,3 +41,24 @@ def test_traced_names_exist(short):
     assert not missing, f"cacheplace.{short} lacks traced names {missing}"
     if short == "cli":
         assert all(callable(getattr(module, name)) for name in names)
+
+
+def test_main_calls_parse_spec_through_the_module(tmp_path, monkeypatch, capsys):
+    # perfbench/child.py timestamps the end of set-up by rebinding
+    # cli.parse_spec; if main called its own reference instead, every
+    # benchmark repetition would lose that timestamp.
+    from cacheplace import cli
+
+    calls = []
+    parse_spec = cli.parse_spec
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return parse_spec(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_spec", recording)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"catalog": {"F": 4, "C": 2}}))
+    assert cli.main(["solve", "--config", str(config)]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["p_star"]
