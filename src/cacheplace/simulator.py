@@ -52,15 +52,28 @@ first eligible BS's value. Only head BSs and records get a guard check.
 Each success value's product stops at the end of its chunk, so a file's
 score depends only on the scene and its own p: entry i of a call equals a
 one-file call at p[i] with the same seed, bit for bit.
+
+Each trial also scores a control C (Lavenberg & Welch, Mgmt. Sci. 1981):
+the success value of the first BS beyond the exclusion, whatever its
+caching mark and guard zone, which is usually the first head BS. Its mean
+is exact: for hit the classical coverage 1 / (1 + kappa2(gamma_u))
+(Andrews, Baccelli & Ganti, IEEE TCOM 2011), for secrecy the leak of an
+always-cached file with no eavesdroppers, 1 - secrecy_probability_exact(1,
+params with eaves_density = 0). A row with no BS beyond the exclusion in
+its first chunk takes C from the first later chunk that has one, or 0 if
+the row closes first (off by less than epsilon). A file's estimate is its
+mean score less b (mean(C) - mean), with its own least-squares slope b, and
+its half-width comes from the residual variance (_file_estimates); below
+3 trials, or where C never varies, b = 0.
 """
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import kappa2_at
+from .analytic import kappa2_at, secrecy_probability_exact
 
 __all__ = [
     "SimConfig",
@@ -82,6 +95,11 @@ _MIN_EXPECTED_BS = 1000
 _MAX_CHUNK_POINTS = 10**6
 # A row closes once no later server can score above epsilon = e^-_LOG_EPSILON.
 _LOG_EPSILON = 40.0
+# A bound on the error of a control's closed-form mean: the secrecy
+# quadrature's error budget, far above the rounding of the hit's kappa2.
+_MEAN_ERROR = 1e-8
+# Files scored at a time, which bounds the (files, rows) temporaries of a block.
+_SLAB = 64
 
 
 class SimulationConfigError(ValueError):
@@ -236,7 +254,7 @@ def _success_terms(powers, rows, col, threshold):
 
 
 def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold):
-    """(head, k, row, u, before, v): one block's head values, then its records.
+    """(head, k, row, u, before, v, control): a block's heads, records and controls.
 
     exclusion and reach bound the eligible BSs in units of pi lam r^2, and a
     BS muted by its guard zone is not eligible. The head of a row is its
@@ -244,6 +262,9 @@ def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold
     success value of row t's m-th one (0 for m >= k[t]). The walk runs over
     the other eligible BSs: a record of row `row` with caching uniform u
     serves the files with p in (u, before], and v is its success value.
+    control[t] is the success value of row t's first BS beyond the
+    exclusion, cached or not, muted or not; where that BS is the first head
+    BS its value is reused, and a row closed before one was drawn gets 0.
     Chunks are drawn while some row has no record below p_min yet, has not
     passed the reach and has not been closed by the bound on later servers;
     each chunk is walked only by those rows, from each row's running
@@ -251,6 +272,7 @@ def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold
     """
     half_alpha = params.alpha / 2.0
     powers, tables, found = [], [], []  # per chunk: s^(alpha/2), _guard_table
+    controls, uncontrolled = [], np.ones(rows, bool)
     start = np.zeros(rows)
     best = np.full(rows, np.inf)  # minimum uniform of the walked BSs so far
     open_rows = np.arange(rows)
@@ -291,11 +313,24 @@ def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold
             row, col = row[muted], col[muted]
             eligible[row, col] = False
             redo = row[np.append(True, row[1:] != row[:-1])]  # sorted, once each
+        # The control: the first BS beyond the exclusion of each row without one.
+        wanting = np.flatnonzero(uncontrolled[open_rows])
+        beyond = s[wanting] > exclusion
+        has = beyond.any(axis=1)
+        c_row, c_col = wanting[has], beyond[has].argmax(axis=1)
+        uncontrolled[open_rows[c_row]] = False
         if not chunk:
             k = head.sum(axis=1)
             row, col = np.nonzero(head)
             head_at = (np.arange(row.size) - (np.cumsum(k) - k)[row], row)
             head_terms = (*_success_terms(powers, row, col, threshold), start[row])
+            reused = np.zeros(rows, bool)
+            reused[c_row] = head[c_row, c_col]  # it is the first head BS
+            c_row, c_col = c_row[~reused[c_row]], c_col[~reused[c_row]]
+        if c_row.size or not chunk:  # chunk 0 always adds one, maybe empty
+            trial = open_rows[c_row]
+            terms = _success_terms(powers, trial, c_col, threshold)
+            controls.append((trial, *terms, start[trial]))
         row, col = np.nonzero(record)
         trial = open_rows[row]
         terms = _success_terms(powers, trial, col, threshold)
@@ -310,11 +345,15 @@ def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold
             bound = np.log1p(drawn, out=drawn).sum(axis=1)
             open_rows = open_rows[bound <= _LOG_EPSILON]
     row, u, before, *records = map(np.concatenate, zip(*found))
-    x, log_sum, s_last = map(np.concatenate, zip(head_terms, records))
+    controlled, *control_terms = map(np.concatenate, zip(*controls))
+    x, log_sum, s_last = map(np.concatenate, zip(head_terms, control_terms, records))
     v = np.exp(-(log_sum + _far_field(x, s_last, params.alpha)))
+    v_head, v_control, v = np.split(v, np.cumsum([len(head_at[0]), len(controlled)]))
     head = np.zeros((_HEAD, rows))
-    head[head_at] = v[: len(head_at[0])]
-    return head, k, row, u, before, v[len(head_at[0]) :]
+    head[head_at] = v_head
+    control = np.where(reused, head[0], 0.0)
+    control[controlled] = v_control
+    return head, k, row, u, before, v, control
 
 
 def _far_field(x, s_last, alpha):
@@ -328,62 +367,83 @@ def _far_field(x, s_last, alpha):
 
 
 def _value_moments(p, params, cfg, stream, exclusion, threshold):
-    """Per file, the sum of the trials' scores and of their squared deviations.
+    """Sums and deviation sums of the trials' scores and of their control.
 
+    Returns (total, deviations, co, c_total, c_deviations): per file, the sum
+    of the scores, of their squared deviations and of their products with
+    the control's deviations; then the control's sum and squared deviations.
     The scenes come from stream `stream` of cfg.seed. Only BSs beyond
     exclusion, in units of pi lam r^2, may serve. A trial's score for a file
     is its success value averaged over the caching marks of the row's head:
     the m-th head BS serves with probability p (1 - p)^m, and with
     probability (1 - p)^k none of the k does and the file's record serves (0
-    if it has none). Each block's deviations are taken from that block's own
-    mean (two passes), and the blocks are merged by the pairwise update of
-    Chan, Golub & LeVeque (1979), so the sum keeps its relative precision
-    where the variance is tiny against the squared mean. A call where no
-    file is ever cached draws no scene.
+    if it has none). Its control is the success value of the row's first BS
+    beyond exclusion, whatever its caching mark and guard zone. Each block's
+    deviations are taken from that block's own means (two passes), and the
+    blocks are merged by the pairwise update of Chan, Golub & LeVeque
+    (1979), so the sums keep their relative precision where a variance is
+    tiny against the squared mean. Files are scored _SLAB at a time, which
+    bounds the (files, rows) temporaries. A call where no file is ever
+    cached draws no scene.
     """
     reach = _reach(params)
     key = np.random.SeedSequence([cfg.seed, stream])
     seed = int(key.generate_state(1, np.uint64)[0])
     files = np.argsort(p, kind="stable")
     files = files[p[files] > 0.0]
-    total, deviations = np.zeros(len(p)), np.zeros(len(p))
+    total, deviations, co = np.zeros((3, len(p)))
+    c_total = c_deviations = 0.0
     if len(files):
         p_asc = p[files]
         miss = np.cumprod([np.ones_like(p_asc)] + [1.0 - p_asc] * _HEAD, axis=0)
         for block, first_trial in enumerate(range(0, cfg.trials, _BLOCK_ROWS)):
             rows = min(_BLOCK_ROWS, cfg.trials - first_trial)
-            head, k, row, u, before, v = _block_records(
+            head, k, row, u, before, v, control = _block_records(
                 seed, block, rows, params, reach, p_asc[0], exclusion, threshold
             )
-            # scores[f, t]: entry by entry, the same sums whatever the other files.
-            scores, term = np.empty((2, len(files), rows))
-            np.multiply(p_asc[:, None], head[0], out=scores)
-            for m in range(1, _HEAD):
-                scores += np.multiply((p_asc * miss[m])[:, None], head[m], out=term)
+            # Merged with the trials before this block (none before the first).
+            weight = first_trial * rows / (first_trial + rows)
+            c_sum = control.sum()
+            c_dev = control - c_sum / rows
+            c_shift = c_sum / rows - c_total / max(first_trial, 1)
             # Each record serves a run of files of its row, and a row's runs
             # tile its files from its last record's up. Label the records in
             # (row, first file) order: along a row, the running maximum of
             # the labels at each run's first file is the serving record (0:
-            # none).
+            # none); a slab starts from the label its row ended the last on.
             first = np.searchsorted(p_asc, u, side="right")
             serves = np.searchsorted(p_asc, before, side="right") > first
             row, first, v = row[serves], first[serves], v[serves]
             order = np.lexsort((first, row))
-            label = np.zeros((rows, len(files)), int)
-            label[row[order], first[order]] = np.arange(1, len(v) + 1)
-            served = np.append(0.0, v[order])[np.maximum.accumulate(label, axis=1).T]
-            scores += np.multiply(miss[k].T, served, out=term)
-            block_sum = scores.sum(axis=1)
-            block_mean = block_sum / rows
-            np.subtract(scores, block_mean[:, None], out=term)
-            block_dev = np.square(term, out=term).sum(axis=1)
-            # Merge with the trials before this block (none before the first).
-            shift = block_mean - total[files] / max(first_trial, 1)
-            deviations[files] += (
-                block_dev + shift**2 * (first_trial * rows / (first_trial + rows))
-            )
-            total[files] += block_sum
-    return total, deviations
+            row, first, v = row[order], first[order], np.append(0.0, v[order])
+            label = np.zeros(rows, int)
+            for lo in range(0, len(files), _SLAB):
+                part = slice(lo, lo + _SLAB)
+                p_part, miss_part = p_asc[part], miss[:, part]
+                # scores[f, t]: entry by entry, the same sums whatever the other files.
+                scores, term = np.empty((2, len(p_part), rows))
+                np.multiply(p_part[:, None], head[0], out=scores)
+                for m in range(1, _HEAD):
+                    serve_m = (p_part * miss_part[m])[:, None]
+                    scores += np.multiply(serve_m, head[m], out=term)
+                ours = (first >= lo) & (first < lo + len(p_part))
+                labels = np.zeros((rows, len(p_part)), int)
+                labels[:, 0] = label
+                labels[row[ours], first[ours] - lo] = np.flatnonzero(ours) + 1
+                label = np.maximum.accumulate(labels, axis=1, out=labels)[:, -1]
+                scores += np.multiply(miss_part[k].T, v[labels.T], out=term)
+                block_sum = scores.sum(axis=1)
+                np.subtract(scores, (block_sum / rows)[:, None], out=term)
+                block_co = np.multiply(term, c_dev, out=scores).sum(axis=1)
+                block_dev = np.square(term, out=term).sum(axis=1)
+                at = files[part]
+                shift = block_sum / rows - total[at] / max(first_trial, 1)
+                deviations[at] += block_dev + shift * shift * weight
+                co[at] += block_co + shift * c_shift * weight
+                total[at] += block_sum
+            c_deviations += np.square(c_dev).sum() + c_shift * c_shift * weight
+            c_total += c_sum
+    return total, deviations, co, c_total, c_deviations
 
 
 def _file_probabilities(p):
@@ -393,25 +453,41 @@ def _file_probabilities(p):
     return p
 
 
-def _file_estimates(p, moments, trials, complement):
-    """Per-file mean scores (1 minus them if complement) with 1.96 s / sqrt(n).
+def _file_estimates(p, moments, trials, control_mean, complement):
+    """Per-file control-variate estimates (1 minus them if complement), with 95% CIs.
 
-    s^2 is the scores' sample variance, bounded by m (1 - m) at n = 1. At an
-    estimate of exactly 0 or 1 a simulated file (p > 0) gets the exact
+    With the score Y of a file and the control C, whose mean control_mean
+    is exact, the estimate is mean(Y) - b (mean(C) - control_mean), clipped
+    to [0, 1], with the file's own regression slope b = S_CY / S_CC, and the
+    half-width is 1.96 sqrt((S_YY - b S_CY) / ((n - 2) n)) from the
+    residual sum of squares, plus |b| times _MEAN_ERROR for the error of
+    control_mean: where Y is C (no guard zone, p = 1) the estimate is the
+    closed form itself. Below 3 trials, or where the control never varies,
+    b = 0: then the half-width is 1.96 s / sqrt(n) with s^2 the scores'
+    sample variance, bounded by m (1 - m) at n = 1. Where every score is 0,
+    or every score is 1, a simulated file (p > 0) gets the exact
     Clopper-Pearson half-width of 0 or n successes, 1 - 0.025^(1/n), which
     holds for any score in [0, 1]; a file with p = 0 is exact.
     """
-    total, deviations = moments
+    total, deviations, co, c_total, c_deviations = moments
     mean = total / trials
-    estimate = 1.0 - mean if complement else mean
-    if trials > 1:
+    estimate, slope = mean, 0.0
+    if trials > 2 and c_deviations > 0.0:
+        slope = co / c_deviations
+        estimate = np.clip(mean - slope * (c_total / trials - control_mean), 0.0, 1.0)
+        variance = np.maximum(deviations - slope * co, 0.0) / (trials - 2)
+    elif trials > 1:
         variance = deviations / (trials - 1)
     else:
         variance = mean * (1.0 - mean)
-    half = 1.96 * np.sqrt(variance / trials)
-    edge = (p > 0.0) & ((estimate == 0.0) | (estimate == 1.0))
+    half = 1.96 * np.sqrt(variance / trials) + np.abs(slope) * _MEAN_ERROR
+    edge = (p > 0.0) & ((mean == 0.0) | (mean == 1.0))
     half = np.where(edge, 1.0 - 0.025 ** (1.0 / trials), half)
-    return SimEstimate(estimate=estimate, trials=trials, ci95_halfwidth=half)
+    return SimEstimate(
+        estimate=1.0 - estimate if complement else estimate,
+        trials=trials,
+        ci95_halfwidth=half,
+    )
 
 
 def simulate_file_hit(p, params, cfg):
@@ -421,13 +497,16 @@ def simulate_file_hit(p, params, cfg):
     nearest BS that caches the file and is not muted by its guard zone; the
     trial scores the probability that the SIR from that BS exceeds the user
     threshold given the positions, averaged over the caching marks of the
-    row's head, and 0 if no eligible BS lies within reach.
+    row's head, and 0 if no eligible BS lies within reach. The control is
+    the nearest BS's value, whose mean is the classical coverage
+    1 / (1 + kappa2(gamma_u)).
     All files share each trial's scene (stream 0 of cfg.seed), whose draws do
     not depend on p: entry i equals a one-file call at p[i], bit for bit.
     """
     p = _file_probabilities(p)
     moments = _value_moments(p, params, cfg, 0, -np.inf, params.gamma_u)
-    return _file_estimates(p, moments, cfg.trials, complement=False)
+    coverage = 1.0 / (1.0 + kappa2_at(params.delta, params.gamma_u))
+    return _file_estimates(p, moments, cfg.trials, coverage, complement=False)
 
 
 def simulate_file_secrecy(p, params, cfg):
@@ -438,11 +517,15 @@ def simulate_file_secrecy(p, params, cfg):
     wiretapped BS is the nearest transmitter of the file outside that disk;
     the trial scores the probability that the eavesdropper's SIR falls below
     gamma_e given the positions, averaged over the caching marks of the row's
-    head, and 1 if no eligible transmitter lies within reach. Its scenes are
-    stream 1 of cfg.seed; as in simulate_file_hit, entry i equals a one-file
-    call at p[i], bit for bit.
+    head, and 1 if no eligible transmitter lies within reach. The control is
+    the value of the nearest BS outside the disk, whose mean is the leak of
+    an always-cached file with no eavesdroppers to mute a BS,
+    1 - secrecy_probability_exact(1, params with eaves_density = 0). Its
+    scenes are stream 1 of cfg.seed; as in simulate_file_hit, entry i equals
+    a one-file call at p[i], bit for bit.
     """
     p = _file_probabilities(p)
     guard = math.pi * params.bs_density * params.guard_radius**2
     moments = _value_moments(p, params, cfg, 1, guard, params.gamma_e)
-    return _file_estimates(p, moments, cfg.trials, complement=True)
+    leak = 1.0 - secrecy_probability_exact(1.0, replace(params, eaves_density=0.0))
+    return _file_estimates(p, moments, cfg.trials, leak, complement=True)

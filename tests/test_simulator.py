@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cacheplace.analytic import (
     db_to_linear,
     derive_constants,
     kappa2_at,
+    secrecy_probability_exact,
 )
 from cacheplace.simulator import (
     SimConfig,
@@ -192,14 +194,21 @@ class TestConfigAndEstimate:
         assert exact > 0.5
 
     def test_wald_halfwidth_between_the_edges(self):
-        # 1.96 s / sqrt(n), with s the sample deviation of the trials' values.
+        # 1.96 s / sqrt(n), with s the residual deviation of the trials'
+        # values about their least-squares line in the control, at ddof 2,
+        # plus the slope times the bound on the control mean's error.
         params, cfg = default_params(), SimConfig(trials=400, seed=3)
         est = simulate_file_hit([0.5], params, cfg)
-        scores = per_trial_reference([0.5], params, cfg, 0, None, params.gamma_u)
+        y = per_trial_reference([0.5], params, cfg, 0, None, params.gamma_u)[:, 0]
+        c = control_reference(params, cfg, 0, None, params.gamma_u)
+        slope, intercept = np.polyfit(c, y, 1)
+        residual = y - (slope * c + intercept)
         assert 0.0 < est.estimate[0] < 1.0
         assert est.ci95_halfwidth[0] == pytest.approx(
-            1.96 * scores[:, 0].std(ddof=1) / math.sqrt(400), rel=1e-9
+            1.96 * math.sqrt(residual @ residual / 398) / math.sqrt(400)
+            + abs(slope) * simulator._MEAN_ERROR, rel=1e-9
         )
+        assert est.ci95_halfwidth[0] < 0.6 * 1.96 * y.std(ddof=1) / math.sqrt(400)
 
     def test_single_trial_halfwidth(self):
         # One trial has no sample variance; m (1 - m) bounds it.
@@ -426,31 +435,76 @@ def first_server_reference(params, cfg, stream, exclusion_radius, threshold):
     return values
 
 
-def assert_estimates_match(est, scores, p):
-    """An estimate against per-trial scores: mean, and 1.96 s / sqrt(n).
+def control_reference(params, cfg, stream, exclusion_radius, threshold):
+    """Per trial, the value of its first BS beyond the exclusion, cached or not, muted or not."""
+    scenes = ReferenceScenes(params, cfg, stream, exclusion_radius, threshold)
+    values = np.zeros(cfg.trials)
+    for trial, bs, _, value in scenes.trials():
+        values[trial] = value(next(k for k in itertools.count() if bs(k)[0] > scenes.excluded))
+    return values
 
-    The engine sums each trial's success score v, not 1 - v: a secrecy
-    estimate 1 - mean(v) is good to about 1e-16 absolute, and so is its half-width,
-    which comes from two-pass sums about each block's mean even where the
-    variance is tiny against the squared mean.
+
+def control_mean(params, stream):
+    """The control's exact mean: the hit or the leak of the nearest BS beyond the exclusion."""
+    if stream == 0:
+        return 1.0 / (1.0 + kappa2_at(params.delta, params.gamma_u))
+    return 1.0 - secrecy_probability_exact(1.0, replace(params, eaves_density=0.0))
+
+
+def assert_estimates_match(est, scores, control, mu, p, complement=False):
+    """An estimate against per-trial success scores Y and controls C of mean mu.
+
+    The reference regresses each file's Y on C with np.cov at ddof 2: the
+    estimate is mean(Y) - b (mean(C) - mu), clipped to [0, 1], with
+    b = Cov(Y, C) / Var(C), and the half-width 1.96 sqrt(v / n) +
+    |b| simulator._MEAN_ERROR with v = Var(Y) - b Cov(Y, C). Below 3 trials
+    b = 0 and v is the sample variance, or m (1 - m) at n = 1; where every Y
+    is 0 (or 1) the half-width is Clopper-Pearson's. The engine sums success
+    scores, and a secrecy estimate is 1 minus the result. v is matched to
+    2e-12 relative, and where it is a residual also to 64 ulps of Var(Y),
+    the size of the terms whose difference both sides round; estimates and
+    half-widths also to 1e-15 absolute, above the e^-40 the engine drops.
     """
-    n = len(scores)
+    n, files = scores.shape
     mean = scores.mean(axis=0)
-    np.testing.assert_allclose(est.estimate, mean, rtol=1e-12, atol=1e-15)
-    if n == 1:
-        half = 1.96 * np.sqrt(mean * (1.0 - mean))
-    else:
-        half = 1.96 * scores.std(axis=0, ddof=1) / math.sqrt(n)
+    estimate, variance = mean.copy(), np.empty(files)
+    slope, slack = np.zeros(files), np.zeros(files)
+    for i, y in enumerate(scores.T):
+        if n > 2 and control.var() > 0.0:
+            (var_y, cov), (_, var_c) = np.cov(y, control, ddof=2)
+            slope[i] = cov / var_c
+            estimate[i] = min(max(mean[i] - slope[i] * (control.mean() - mu), 0.0), 1.0)
+            variance[i] = max(var_y - slope[i] * cov, 0.0)
+            slack[i] = 64 * np.finfo(float).eps * var_y
+        elif n > 1:
+            variance[i] = y.var(ddof=1)
+        else:
+            variance[i] = y[0] * (1.0 - y[0])
+    np.testing.assert_allclose(
+        est.estimate, 1.0 - estimate if complement else estimate, rtol=1e-12, atol=1e-15
+    )
     edge = (np.asarray(p) > 0.0) & ((mean == 0.0) | (mean == 1.0))
-    half = np.where(edge, 1.0 - 0.025 ** (1.0 / n), half)
-    np.testing.assert_allclose(est.ci95_halfwidth, half, rtol=1e-12, atol=1e-15)
+    assert np.all(est.ci95_halfwidth[edge] == 1.0 - 0.025 ** (1.0 / n))
+    tol = 2e-12 * variance + slack
+    lo, hi = (
+        (1.96 * np.sqrt(np.maximum(v, 0.0) / n) + np.abs(slope) * simulator._MEAN_ERROR) * f
+        for v, f in ((variance - tol, 1.0 - 1e-12), (variance + tol, 1.0 + 1e-12))
+    )
+    half = est.ci95_halfwidth
+    assert np.all(((lo - 1e-15 <= half) & (half <= hi + 1e-15))[~edge]), (half, lo, hi)
 
 
 def assert_matches_reference(p, params, cfg):
-    scores = per_trial_reference(p, params, cfg, 0, None, params.gamma_u)
-    assert_estimates_match(simulate_file_hit(p, params, cfg), scores, p)
-    scores = per_trial_reference(p, params, cfg, 1, params.guard_radius, params.gamma_e)
-    assert_estimates_match(simulate_file_secrecy(p, params, cfg), 1.0 - scores, p)
+    for simulate, stream, exclusion, threshold in (
+        (simulate_file_hit, 0, None, params.gamma_u),
+        (simulate_file_secrecy, 1, params.guard_radius, params.gamma_e),
+    ):
+        scores = per_trial_reference(p, params, cfg, stream, exclusion, threshold)
+        control = control_reference(params, cfg, stream, exclusion, threshold)
+        assert_estimates_match(
+            simulate(p, params, cfg), scores, control, control_mean(params, stream), p,
+            complement=stream == 1,
+        )
 
 
 def test_always_cached_file_scores_its_first_eligible_server():
@@ -460,13 +514,83 @@ def test_always_cached_file_scores_its_first_eligible_server():
     params = default_params(guard_radius=600.0)
     cfg = SimConfig(trials=300, seed=12)
     p = np.array([1.0, 0.0])
-    for simulate, stream, exclusion, threshold, flip in (
-        (simulate_file_hit, 0, None, params.gamma_u, False),
-        (simulate_file_secrecy, 1, params.guard_radius, params.gamma_e, True),
+    for simulate, stream, exclusion, threshold in (
+        (simulate_file_hit, 0, None, params.gamma_u),
+        (simulate_file_secrecy, 1, params.guard_radius, params.gamma_e),
     ):
         first = first_server_reference(params, cfg, stream, exclusion, threshold)
         scores = np.column_stack([first, np.zeros(cfg.trials)])
-        assert_estimates_match(simulate(p, params, cfg), 1.0 - scores if flip else scores, p)
+        control = control_reference(params, cfg, stream, exclusion, threshold)
+        assert_estimates_match(
+            simulate(p, params, cfg), scores, control, control_mean(params, stream), p,
+            complement=stream == 1,
+        )
+
+
+def test_always_cached_file_without_guard_zone_is_its_control():
+    # With no guard zone nothing is muted, so at p = 1 each trial scores its
+    # first BS beyond the exclusion, which is its control: the slope is 1,
+    # the estimate is the control's closed-form mean to rounding, and the
+    # half-width is only the bound on that mean's error.
+    params, cfg = default_params(guard_radius=0.0), SimConfig(trials=500, seed=7)
+    for simulate, stream in ((simulate_file_hit, 0), (simulate_file_secrecy, 1)):
+        est = simulate([1.0, 0.5], params, cfg)
+        mean = control_mean(params, stream)
+        assert est.estimate[0] == pytest.approx(1.0 - mean if stream else mean, abs=1e-15)
+        assert est.ci95_halfwidth[0] == simulator._MEAN_ERROR
+        assert est.ci95_halfwidth[1] > 100 * simulator._MEAN_ERROR
+
+
+@pytest.mark.parametrize(
+    "stream, overrides",
+    [
+        (0, dict(alpha=4.0, eaves_density=0.0, guard_radius=0.0, gamma_u=1.0)),
+        (0, {}),
+        (1, {}),
+        (1, dict(guard_radius=1500.0)),
+    ],
+)
+def test_control_mean_is_its_closed_form(stream, overrides):
+    # The control is unbiased: its mean over ten seeds of 2,000 trials lies
+    # within 3 standard errors of the closed form, the classical coverage
+    # 1 / (1 + kappa2(gamma_u)) (1 / (1 + pi / 4) at alpha = 4, gamma_u = 1)
+    # or the leak of an always-cached file with no eavesdroppers. The hit
+    # control never reads D; at 1500 m about 89% of the secrecy controls are
+    # muted BSs, valued apart from the head. One seed alone is too noisy.
+    params = default_params(**overrides)
+    mean = control_mean(params, stream)
+    if overrides.get("alpha") == 4.0:
+        assert mean == pytest.approx(1.0 / (1.0 + math.pi / 4.0), rel=1e-14)
+    if stream == 0:
+        exclusion, threshold = -np.inf, params.gamma_u
+    else:
+        exclusion, threshold = LAM_PI * params.guard_radius**2, params.gamma_e
+    seeds, trials, sums, squares = range(1, 11), 2_000, [], []
+    for seed in seeds:
+        cfg = SimConfig(trials=trials, seed=seed)
+        *_, c_total, c_deviations = simulator._value_moments(
+            np.ones(1), params, cfg, stream, exclusion, threshold
+        )
+        sums.append(c_total)
+        squares.append(c_deviations / (trials - 1))
+    n = trials * len(seeds)
+    z = (sum(sums) / n - mean) / math.sqrt(np.mean(squares) / n)
+    assert abs(z) < 3.0
+
+
+def test_row_with_first_chunk_inside_the_exclusion_matches_reference():
+    # At D = 3 km a row's 64 nearest BSs can all lie inside the guard disk of
+    # the eavesdropper at the origin: it has no head, and its secrecy control
+    # comes from a later chunk (or is 0 if the row closes first, where its
+    # value would be below e^-40). At -50 dB thresholds that value is large.
+    params = default_params(
+        guard_radius=3000.0, eaves_density=BS_DENSITY / 100.0,
+        gamma_u=db_to_linear(-50.0), gamma_e=db_to_linear(-50.0),
+    )
+    cfg = SimConfig(trials=40, seed=1)
+    (s, *_), = draw_chunks(stream_seed(1, 1), 0, 1, 40, params)
+    assert np.any(s[:, -1] <= LAM_PI * params.guard_radius**2)
+    assert_matches_reference(np.array([0.4, 1.0]), params, cfg)
 
 
 def test_integrating_the_head_marks_cuts_the_variance():
@@ -485,9 +609,10 @@ def test_shared_walk_matches_per_file_reference():
     assert_matches_reference(p, params, cfg)
 
 
-@pytest.mark.parametrize("trials", [1, 255, 257, 769])
+@pytest.mark.parametrize("trials", [1, 2, 3, 255, 257, 769])
 def test_block_boundaries_match_reference(trials):
-    # 1, B - 1, B + 1 and 3B + 1 trials, at B = 256 rows per block.
+    # 1, 2 (no control: b = 0), 3, B - 1, B + 1 and 3B + 1 trials, at B = 256
+    # rows per block.
     params = default_params(guard_radius=600.0)
     cfg = SimConfig(trials=trials, seed=11)
     assert_matches_reference(np.array([0.1, 0.8, 0.35]), params, cfg)
@@ -506,6 +631,18 @@ def test_rare_files_match_reference():
     params = default_params(gamma_u=db_to_linear(-50.0), gamma_e=db_to_linear(-50.0))
     cfg = SimConfig(trials=20, seed=3)
     assert_matches_reference(np.array([0.002, 0.02, 1.0]), params, cfg)
+
+
+def test_file_slabs_change_no_bit(monkeypatch):
+    # Files are scored simulator._SLAB at a time, and a record's run of
+    # files may cross from one slab into the next: every entry equals its
+    # value from a single slab, bit for bit.
+    params, cfg = default_params(), SimConfig(trials=300, seed=19)
+    p = np.random.default_rng(0).uniform(0.0, 1.0, 11)
+    whole = [simulate(p, params, cfg) for simulate in (simulate_file_hit, simulate_file_secrecy)]
+    monkeypatch.setattr(simulator, "_SLAB", 3)
+    for simulate, expected in zip((simulate_file_hit, simulate_file_secrecy), whole):
+        assert_same_estimates(simulate(p, params, cfg), expected)
 
 
 def test_rows_close_once_no_later_server_can_score(monkeypatch):
