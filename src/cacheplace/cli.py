@@ -44,7 +44,7 @@ from .analytic import (
 )
 from .catalog import FileCatalog, PlacementPolicy, make_catalog, sample_secrecy_levels
 from .optimizer import lcc_placement, mpc_placement, solve_ocp
-from .simulator import SimConfig, SimEstimate, simulate_file_hit, simulate_file_secrecy
+from .simulator import SimConfig, simulate_file_hit, simulate_file_secrecy
 from .special import ConvergenceError
 
 CSV_COLUMNS = [
@@ -423,12 +423,13 @@ def _p_i_rows(spec):
 
 def _scheme_rows(spec, value, scheme, catalog, caps, policy, columns):
     """Per-file rows of one (point, scheme), then its aggregate row (file 0)."""
-    # Popularity-weighted per-file hits: the dot product hit_probability takes.
-    q = catalog.popularity
-    aggregate = {"hit_analytic": float(np.dot(q, columns["hit_analytic"]))}
-    if spec.sim is not None:
-        mean = SimEstimate.from_mean(np.dot(q, columns["hit_sim"]), spec.sim.trials)
-        aggregate.update(hit_sim=mean.estimate, hit_ci=mean.ci95_halfwidth)
+    # Popularity-weighted per-file hits, the dot product hit_probability takes;
+    # the weighted half-widths bound the weighted estimate's (README).
+    aggregate = {
+        name: float(np.dot(catalog.popularity, columns[name]))
+        for name in ("hit_analytic", "hit_sim", "hit_ci")
+        if columns[name] is not None
+    }
     point = {"sweep_var": spec.sweep_var, "sweep_value": value, "scheme": scheme}
     rows = _rows(
         {

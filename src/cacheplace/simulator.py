@@ -2,7 +2,7 @@
 
 The public surface is SimConfig(trials, seed), SimEstimate and the per-file
 simulators simulate_file_hit and simulate_file_secrecy, which return one
-SimEstimate of per-file arrays; a caller weights them for an aggregate.
+SimEstimate of per-file arrays.
 
 A trial is one realization of the base-station (BS) and eavesdropper PPPs
 under the exact guard-zone rule: a BS sends artificial noise whenever an
@@ -55,16 +55,16 @@ one-file call at p[i] with the same seed, bit for bit.
 
 Each trial also scores a control C (Lavenberg & Welch, Mgmt. Sci. 1981):
 the success value of the first BS beyond the exclusion, whatever its
-caching mark and guard zone, which is usually the first head BS. Its mean
-is exact: for hit the classical coverage 1 / (1 + kappa2(gamma_u))
-(Andrews, Baccelli & Ganti, IEEE TCOM 2011), for secrecy the leak of an
-always-cached file with no eavesdroppers, 1 - secrecy_probability_exact(1,
-params with eaves_density = 0). A row with no BS beyond the exclusion in
-its first chunk takes C from the first later chunk that has one, or 0 if
-the row closes first (off by less than epsilon). A file's estimate is its
-mean score less b (mean(C) - mean), with its own least-squares slope b, and
-its half-width comes from the residual variance (_file_estimates); below
-3 trials, or where C never varies, b = 0.
+caching mark and guard zone. Its mean is exact: for hit the classical
+coverage 1 / (1 + kappa2(gamma_u)) (Andrews, Baccelli & Ganti, IEEE TCOM
+2011), for secrecy the leak of an always-cached file with no eavesdroppers,
+1 - secrecy_probability_exact(1, params with eaves_density = 0). A row
+with no BS beyond the exclusion in its first chunk takes C from the first
+later chunk that has one, or 0 if the row closes first (off by less than
+epsilon). A file's estimate is its mean score less b (mean(C) - mean),
+with its own least-squares slope b, and its half-width comes from the
+residual variance (_file_estimates); below 3 trials, or where C never
+varies, b = 0.
 """
 
 import math
@@ -126,17 +126,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimEstimate:
-    """Monte Carlo probability estimates, one or per file, with 95% half-widths."""
+    """Monte Carlo probability estimates per file, with their 95% half-widths."""
 
-    estimate: float | np.ndarray
+    estimate: np.ndarray
     trials: int
-    ci95_halfwidth: float | np.ndarray
-
-    @classmethod
-    def from_mean(cls, mean, trials):
-        """Half-width 1.96 sqrt(m (1 - m) / n), which bounds any score in [0, 1]."""
-        half = 1.96 * np.sqrt(mean * (1.0 - mean) / trials)
-        return cls(estimate=mean, trials=trials, ci95_halfwidth=half)
+    ci95_halfwidth: np.ndarray
 
 
 def _reach(params):
@@ -263,8 +257,8 @@ def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold
     the other eligible BSs: a record of row `row` with caching uniform u
     serves the files with p in (u, before], and v is its success value.
     control[t] is the success value of row t's first BS beyond the
-    exclusion, cached or not, muted or not; where that BS is the first head
-    BS its value is reused, and a row closed before one was drawn gets 0.
+    exclusion, cached or not, muted or not, and 0 for a row closed before
+    one was drawn.
     Chunks are drawn while some row has no record below p_min yet, has not
     passed the reach and has not been closed by the bound on later servers;
     each chunk is walked only by those rows, from each row's running
@@ -319,18 +313,14 @@ def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold
         has = beyond.any(axis=1)
         c_row, c_col = wanting[has], beyond[has].argmax(axis=1)
         uncontrolled[open_rows[c_row]] = False
+        trial = open_rows[c_row]
+        terms = _success_terms(powers, trial, c_col, threshold)
+        controls.append((trial, *terms, start[trial]))
         if not chunk:
             k = head.sum(axis=1)
             row, col = np.nonzero(head)
             head_at = (np.arange(row.size) - (np.cumsum(k) - k)[row], row)
             head_terms = (*_success_terms(powers, row, col, threshold), start[row])
-            reused = np.zeros(rows, bool)
-            reused[c_row] = head[c_row, c_col]  # it is the first head BS
-            c_row, c_col = c_row[~reused[c_row]], c_col[~reused[c_row]]
-        if c_row.size or not chunk:  # chunk 0 always adds one, maybe empty
-            trial = open_rows[c_row]
-            terms = _success_terms(powers, trial, c_col, threshold)
-            controls.append((trial, *terms, start[trial]))
         row, col = np.nonzero(record)
         trial = open_rows[row]
         terms = _success_terms(powers, trial, col, threshold)
@@ -351,7 +341,7 @@ def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold
     v_head, v_control, v = np.split(v, np.cumsum([len(head_at[0]), len(controlled)]))
     head = np.zeros((_HEAD, rows))
     head[head_at] = v_head
-    control = np.where(reused, head[0], 0.0)
+    control = np.zeros(rows)
     control[controlled] = v_control
     return head, k, row, u, before, v, control
 

@@ -292,7 +292,6 @@ class TestSweepCommand:
         assert main(["sweep", "--config", config, "--out", out]) == 0
         rows = read_csv(out)
         sidecar = json.loads(Path(out + ".spec.json").read_text())
-        trials = sidecar["sim"]["trials"]
         ranks = np.arange(1, SMALL_CATALOG["F"] + 1)
 
         def zipf(beta):
@@ -310,12 +309,10 @@ class TestSweepCommand:
             block = rows[start:start + size]
             assert [r["file_index"] for r in block] == ["1", "2", "3", "4", "0"]
             *per_file, aggregate = block
-            mean = float(aggregate["hit_sim"])
             q = zipf(float(aggregate["sweep_value"]))
-            weighted = float(np.dot(q, [float(r["hit_sim"]) for r in per_file]))
-            assert abs(mean - weighted) <= 1e-11
-            half = 1.96 * math.sqrt(mean * (1.0 - mean) / trials)
-            assert abs(float(aggregate["hit_ci"]) - half) <= 1e-11
+            for column in ("hit_analytic", "hit_sim", "hit_ci"):
+                weighted = np.dot(q, [float(r[column]) for r in per_file])
+                assert abs(float(aggregate[column]) - weighted) <= 1e-11
 
     def test_sweep_requires_sweep_section(self, tmp_path):
         config = write_config(tmp_path, {"catalog": SMALL_CATALOG})

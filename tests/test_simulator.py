@@ -172,11 +172,6 @@ class TestConfigAndEstimate:
         with pytest.raises(SimulationConfigError, match="fit in memory"):
             simulate_file_hit([0.5], params, SimConfig(trials=1))
 
-    def test_estimate_halfwidth(self):
-        est = SimEstimate.from_mean(0.5, 10_000)
-        assert est.ci95_halfwidth == pytest.approx(1.96 * 0.005, rel=1e-12)
-        assert SimEstimate.from_mean(0.0, 100).ci95_halfwidth == 0.0
-
     def test_exact_halfwidth_at_zero_or_all_successes(self, monkeypatch):
         # At an estimate of 0 or 1 the sample variance is 0; a simulated file
         # there gets the exact Clopper-Pearson one, 1 - 0.025^(1/n). Files with
@@ -209,6 +204,24 @@ class TestConfigAndEstimate:
             + abs(slope) * simulator._MEAN_ERROR, rel=1e-9
         )
         assert est.ci95_halfwidth[0] < 0.6 * 1.96 * y.std(ddof=1) / math.sqrt(400)
+
+    @pytest.mark.parametrize("guard_radius", [200.0, 0.0])
+    def test_weighted_halfwidths_bound_the_weighted_estimates(self, guard_radius):
+        # A sweep's aggregate row takes sum_i q_i ci_i as the half-width of
+        # sum_i q_i estimate_i. The sample deviation is a seminorm, so it is
+        # at least 1.96 s / sqrt(n), with s the residual deviation of the
+        # weighted scores sum_i q_i Y_i about their least-squares line in the
+        # control, at ddof 2. At D = 0 the p = 1 file is its control.
+        params = default_params(guard_radius=guard_radius)
+        cfg = SimConfig(trials=300, seed=8)
+        p, q = np.array([0.1, 0.3, 0.6, 1.0]), np.array([0.4, 0.3, 0.2, 0.1])
+        est = simulate_file_hit(p, params, cfg)
+        y = per_trial_reference(p, params, cfg, 0, None, params.gamma_u) @ q
+        c = control_reference(params, cfg, 0, None, params.gamma_u)
+        slope, intercept = np.polyfit(c, y, 1)
+        residual = y - (slope * c + intercept)
+        own = 1.96 * math.sqrt(residual @ residual / (cfg.trials - 2) / cfg.trials)
+        assert q @ est.ci95_halfwidth >= own * (1.0 - 1e-12)
 
     def test_single_trial_halfwidth(self):
         # One trial has no sample variance; m (1 - m) bounds it.
