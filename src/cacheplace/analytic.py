@@ -213,8 +213,6 @@ def secrecy_probability_exact(p, params):
     active = p * lam * math.exp(-params.eaves_density * math.pi * d2)
     out = np.ones(p.shape)
     cached = active > 0.0
-    if not np.any(cached):
-        return _like(p, out)
     lam_a = active[cached]
     # Interference from non-caching BSs, muted caching BSs and active ones.
     rate = math.pi * ((lam - lam_a) * c.kappa1 + lam_a * c.kappa2)
@@ -235,7 +233,7 @@ def secrecy_probability_exact(p, params):
         fine[rows] = terms.sum(axis=-1)
         coarse[rows] = 2.0 * terms[:, ::2].sum(axis=-1)
     out[cached] = np.clip(1.0 - fine * np.exp(-rate * d2) / k, 0.0, 1.0)
-    abserr = float(np.max(np.abs(fine - coarse)))
+    abserr = float(np.max(np.abs(fine - coarse), initial=0.0))
     if not abserr <= _DE_ERROR_BUDGET:
         raise ConvergenceError(
             f"secrecy quadrature error estimate {abserr:.3g} exceeds its "

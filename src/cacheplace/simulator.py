@@ -33,8 +33,10 @@ at r_L, scores at most prod_j 1 / (1 + theta (r_L / r_j)^alpha) over the
 drawn BSs, all of which interfere with it, so a row closes once that bound
 falls below epsilon; it is checked after chunks 0, 1, 3, 7, ... of the
 block. A file with no eligible BS within reach, or none before its row
-closed, scores 0 for hit and 1 for secrecy: each estimate is off by less
-than epsilon.
+closed, scores 0 for hit and 1 for secrecy. That is off by less than
+epsilon where the bound closed the row, not where the reach stopped it: a
+server beyond the reach can still succeed, so at small p and low thresholds
+the estimate is biased low for hit and high for secrecy.
 
 All files of a trial share its scene (common random numbers). A BS is
 eligible if it lies beyond the exclusion and within reach and its guard zone
@@ -277,8 +279,7 @@ def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold
         if eav.shape[1]:
             tables.append(_guard_table(eav, params.guard_radius))
         start = s[:, -1]
-        if chunk:  # the first chunk is walked by every row
-            s, cache_u, angle = s[open_rows], cache_u[open_rows], angle[open_rows]
+        s, cache_u, angle = s[open_rows], cache_u[open_rows], angle[open_rows]
         eligible = (s > exclusion) & (s <= reach)
         head, record = np.zeros(s.shape, bool), np.zeros(s.shape, bool)
         u, before = np.empty(s.shape), np.empty(s.shape)
@@ -397,15 +398,15 @@ def _value_moments(p, params, cfg, stream, exclusion, threshold):
             c_dev = control - c_sum / rows
             c_shift = c_sum / rows - c_total / max(first_trial, 1)
             # Each record serves a run of files of its row, and a row's runs
-            # tile its files from its last record's up. Label the records in
-            # (row, first file) order: along a row, the running maximum of
-            # the labels at each run's first file is the serving record (0:
-            # none); a slab starts from the label its row ended the last on.
+            # tile its files from its last record's up. Along a row the walk
+            # finds runs of ever lower files, so labels counting down in walk
+            # order rise with the first file: the running maximum of the
+            # labels at each run's first file is the serving record (0: none);
+            # a slab starts from the label its row ended the last on.
             first = np.searchsorted(p_asc, u, side="right")
             serves = np.searchsorted(p_asc, before, side="right") > first
             row, first, v = row[serves], first[serves], v[serves]
-            order = np.lexsort((first, row))
-            row, first, v = row[order], first[order], np.append(0.0, v[order])
+            rank, v = np.arange(len(v), 0, -1), np.append(0.0, v[::-1])
             label = np.zeros(rows, int)
             for lo in range(0, len(files), _SLAB):
                 part = slice(lo, lo + _SLAB)
@@ -419,7 +420,7 @@ def _value_moments(p, params, cfg, stream, exclusion, threshold):
                 ours = (first >= lo) & (first < lo + len(p_part))
                 labels = np.zeros((rows, len(p_part)), int)
                 labels[:, 0] = label
-                labels[row[ours], first[ours] - lo] = np.flatnonzero(ours) + 1
+                labels[row[ours], first[ours] - lo] = rank[ours]
                 label = np.maximum.accumulate(labels, axis=1, out=labels)[:, -1]
                 scores += np.multiply(miss_part[k].T, v[labels.T], out=term)
                 block_sum = scores.sum(axis=1)
@@ -461,15 +462,12 @@ def _file_estimates(p, moments, trials, control_mean, complement):
     """
     total, deviations, co, c_total, c_deviations = moments
     mean = total / trials
-    estimate, slope = mean, 0.0
+    slope, dof = 0.0, trials - 1
     if trials > 2 and c_deviations > 0.0:
-        slope = co / c_deviations
-        estimate = np.clip(mean - slope * (c_total / trials - control_mean), 0.0, 1.0)
-        variance = np.maximum(deviations - slope * co, 0.0) / (trials - 2)
-    elif trials > 1:
-        variance = deviations / (trials - 1)
-    else:
-        variance = mean * (1.0 - mean)
+        slope, dof = co / c_deviations, trials - 2
+    estimate = np.clip(mean - slope * (c_total / trials - control_mean), 0.0, 1.0)
+    residual = np.maximum(deviations - slope * co, 0.0)
+    variance = residual / dof if dof else mean * (1.0 - mean)
     half = 1.96 * np.sqrt(variance / trials) + np.abs(slope) * _MEAN_ERROR
     edge = (p > 0.0) & ((mean == 0.0) | (mean == 1.0))
     half = np.where(edge, 1.0 - 0.025 ** (1.0 / trials), half)

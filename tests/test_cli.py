@@ -342,11 +342,16 @@ class TestSweepCommand:
         assert out.read_bytes() == (GOLDEN / f"sweep_{variable}.csv").read_bytes()
 
     @pytest.mark.parametrize(
-        ("command", "config"), [("sweep", "sweep_beta_sim"), ("validate", "validate")]
+        ("command", "config"),
+        [("sweep", "sweep_beta_sim"), ("validate", "validate"),
+         ("sweep", "sweep_gamma_e_sim")],
     )
     def test_seeded_csv_matches_golden(self, tmp_path, command, config):
         # tests/golden/<config>.csv holds the simulated output of its config
-        # (64 trials): each column's seed path must not move. The exit status
+        # (64 trials; 300 for sweep_gamma_e_sim, whose 1500 m guard radius
+        # walks rows through chunks 0-11 and pins the guard rounds, the walk,
+        # the closing bound and the control past the first chunk): each
+        # column's seed path must not move. The exit status
         # must agree with the report: the validate golden's hit and exact
         # secrecy rows pass, its loose secrecy lower bound fails at p = 0.8
         # (as in acceptance criterion 2), and validate exits 1.
