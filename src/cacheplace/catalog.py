@@ -77,7 +77,7 @@ class FileCatalog:
             )
         if np.any(self.popularity <= 0):
             raise CatalogError("popularity entries must all be positive")
-        if abs(math.fsum(self.popularity) - 1.0) > 1e-12:
+        if abs(math.fsum(memoryview(self.popularity)) - 1.0) > 1e-12:
             raise CatalogError("popularity must sum to 1 within 1e-12")
         if np.any(self.secrecy_levels < 0):
             raise CatalogError("secrecy_levels must be >= 0")
@@ -139,12 +139,15 @@ class PlacementPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, float))
+        if self.p.ndim != 1:
+            raise CatalogError("p must be a 1-D array")
         if not np.all((self.p >= 0) & (self.p <= 1)):
             raise CatalogError("placement probabilities p must lie in [0, 1]")
         if self.cache_size is not None:
-            if math.fsum(self.p) > self.cache_size + 1e-9:
+            total = math.fsum(memoryview(self.p))
+            if total > self.cache_size + 1e-9:
                 raise CatalogError(
-                    f"placement exceeds cache budget: sum(p)={math.fsum(self.p):.9f} "
+                    f"placement exceeds cache budget: sum(p)={total:.9f} "
                     f"> C={self.cache_size}"
                 )
         self.p.flags.writeable = False

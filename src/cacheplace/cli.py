@@ -489,42 +489,60 @@ def write_rows(rows, path):
     _write_csv(rows, CSV_COLUMNS, path)
 
 
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
 def _json_text(value, sort_keys=False, newline="\n"):
     """Exactly ``json.dumps(value, indent=2, sort_keys=sort_keys)``, for str keys.
+
+    An ndarray is encoded as its ``tolist()``.
 
     With ``indent`` set, json encodes in pure Python, which takes longer than
     solving a large catalog. Here each object or array that holds no
     container goes through the C encoder in one call, with the line break
     and indentation in its item separator. The encoder writes that separator
     only between items, so a string that holds ", " cannot shift the layout.
+    A 1-D float64 array and a list of str encode each distinct value once:
+    float64 values are told apart by their bits, so -0.0 and 0.0 stay apart.
     Containers inside containers are walked here; ``newline`` is the line
     break and indentation that precede the closing bracket.
     """
+    if isinstance(value, np.ndarray):
+        if value.dtype != np.float64 or value.ndim != 1 or not value.size:
+            return _json_text(value.tolist(), sort_keys, newline)
+        distinct, inverse = np.unique(value.view(np.uint64), return_inverse=True)
+        encoded = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+        return _json_items(np.array(encoded, dtype=object)[inverse].tolist(), newline)
     if not isinstance(value, _CONTAINERS) or not value:
         return json.dumps(value)
     inner = newline + "  "
     items = value.values() if isinstance(value, dict) else value
-    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):
+    kinds = set(map(type, items))
+    if kinds == {str} and not isinstance(value, dict):
+        encoded = {s: json.dumps(s) for s in set(value)}
+        return _json_items(list(map(encoded.__getitem__, value)), newline)
+    if not any(issubclass(kind, _CONTAINERS) for kind in kinds):
         text = json.dumps(value, sort_keys=sort_keys, separators=("," + inner, ": "))
-        return text[0] + inner + text[1:-1] + newline + text[-1]
+        return "".join((text[0], inner, text[1:-1], newline, text[-1]))
     if isinstance(value, dict):
         pairs = sorted(value.items()) if sort_keys else value.items()
         parts = [
             json.dumps(k) + ": " + _json_text(v, sort_keys, inner) for k, v in pairs
         ]
-        brackets = "{}"
-    else:
-        parts = [_json_text(v, sort_keys, inner) for v in value]
-        brackets = "[]"
-    return brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
+        return _json_items(parts, newline, "{}")
+    return _json_items([_json_text(v, sort_keys, inner) for v in value], newline)
+
+
+def _json_items(parts, newline, brackets="[]"):
+    """A non-empty container of encoded items, one per line, indented past newline."""
+    inner = newline + "  "
+    return "".join((brackets[0], inner, ("," + inner).join(parts), newline, brackets[1]))
 
 
 def write_sidecar(spec, path):
     with open(path, "w") as fh:
-        fh.write(_json_text(spec.resolved_dict(), sort_keys=True) + "\n")
+        fh.write(_json_text(spec.resolved_dict(), sort_keys=True))
+        fh.write("\n")
 
 
 def _report_row(quantity, point, analytic, simulated, ci, floor):
@@ -585,15 +603,19 @@ def write_validate_rows(report, path):
 
 
 def run_solve(spec):
-    """Solve the single-instance placement problem; returns a JSON-able dict."""
+    """Solve the single-instance placement problem.
+
+    Returns a dict for _json_text: p_star and caps are float64 arrays, the
+    rest plain JSON values.
+    """
     solution = solve_ocp(spec.catalog, spec.params)
     hits = {"OCP": solution.objective}
     for scheme in ("MPC", "LCC"):
         policy = _scheme_policy(scheme, spec.catalog, spec.params)
         hits[scheme] = hit_probability(policy, spec.catalog, spec.params)
     return {
-        "p_star": solution.policy.p.tolist(),
-        "caps": solution.caps.tolist(),
+        "p_star": solution.policy.p,
+        "caps": solution.caps,
         "dual": solution.dual,
         "active_set": list(solution.active_set),
         "objective": solution.objective,
@@ -696,7 +718,8 @@ def _execute(args):
     text = _json_text(run_solve(spec))
     if spec.output:
         with open(spec.output, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     return 0, [text]
 
 

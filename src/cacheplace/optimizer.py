@@ -39,6 +39,22 @@ class OcpSolution:
     caps: np.ndarray
 
 
+_STATES = np.array(["zero", "capped", "interior"], dtype=object)
+
+
+def _argsort(key):
+    """np.argsort(key, kind="stable"), sorting stably only when keys tie.
+
+    Distinct keys have one sorted order, which the default sort finds
+    several times faster; only an equal neighbour in it needs the stable sort.
+    """
+    order = np.argsort(key)
+    ordered = key[order]
+    if np.any(ordered[1:] == ordered[:-1]):
+        order = np.argsort(key, kind="stable")
+    return order
+
+
 def _water_fill(catalog, params, caps):
     """(nu, p, capped, interior) of the budget-binding water-filling.
 
@@ -69,16 +85,22 @@ def _water_fill(catalog, params, caps):
     root = np.sqrt(q)
 
     points = np.concatenate((q / (1.0 + caps / ratio) ** 2, q))
-    # Stable: each file's saturation point sorts before its entry point.
-    order = np.argsort(points, kind="stable")
+    # Ties to the lower index: each file's saturation point sorts before its
+    # entry point.
+    order = _argsort(points)
     rank = np.empty_like(order)
     rank[order] = np.arange(2 * file_count)
+    levels, gaps = np.empty((2, file_count))
 
     def total_at(j):
+        # level_f * root / root[f] + ratio * ((root - root[f]) / root[f]),
+        # clipped to [0, caps], in two rows that every call reuses.
         f = order[j] % file_count
         level_f = caps[f] if order[j] < file_count else 0.0
-        levels = level_f * root / root[f] + ratio * ((root - root[f]) / root[f])
-        return float(np.clip(levels, 0.0, caps).sum())
+        np.divide(np.multiply(level_f, root, out=levels), root[f], out=levels)
+        np.divide(np.subtract(root, root[f], out=gaps), root[f], out=gaps)
+        np.add(levels, np.multiply(ratio, gaps, out=gaps), out=levels)
+        return float(np.clip(levels, 0.0, caps, out=levels).sum())
 
     # S is sum(caps) > C at the smallest breakpoint and 0 < C at the largest.
     lo, hi = 0, 2 * file_count - 1
@@ -125,9 +147,7 @@ def solve_ocp(catalog, params):
     return OcpSolution(
         policy=policy,
         dual=nu,
-        active_set=tuple(
-            np.where(capped, "capped", np.where(interior, "interior", "zero")).tolist()
-        ),
+        active_set=tuple(_STATES[capped + 2 * interior].tolist()),
         objective=hit_probability(policy, catalog, params),
         caps=caps,
     )
@@ -145,7 +165,7 @@ def _greedy_fill(order, caps, budget):
 def _greedy_placement(catalog, params, key):
     """Greedy fill to the secrecy caps in ascending key, ties to the lower index."""
     caps = placement_cap(catalog.secrecy_levels, params)
-    p = _greedy_fill(np.argsort(key, kind="stable"), caps, catalog.cache_size)
+    p = _greedy_fill(_argsort(key), caps, catalog.cache_size)
     return PlacementPolicy(p, catalog.cache_size)
 
 

@@ -193,6 +193,12 @@ class TestPlacementPolicy:
         with pytest.raises(CatalogError, match="budget"):
             PlacementPolicy(np.array([1.0, 1.0, 0.6]), cache_size=2)
 
+    @pytest.mark.parametrize("cache_size", [None, 2])
+    @pytest.mark.parametrize("p", [np.full((2, 2), 0.25), 0.5])
+    def test_p_must_be_1d(self, p, cache_size):
+        with pytest.raises(CatalogError, match="1-D"):
+            PlacementPolicy(p, cache_size)
+
     def test_budget_skipped_without_cache_size(self):
         policy = PlacementPolicy(np.ones(10))
         assert policy.p.sum() == 10

@@ -736,7 +736,7 @@ class TestSolveCommand:
         out = str(tmp_path / "solution.json")
         assert main(["solve", "--config", config, "--out", out]) == 0
         solution = run_solve(parse_spec(doc))
-        expected = json.dumps(solution, indent=2)
+        expected = json.dumps(solution, indent=2, default=np.ndarray.tolist)
         assert capsys.readouterr().out == expected + "\n"
         assert Path(out).read_text() == expected + "\n"
         fits_budget = sum(solution["caps"]) <= doc["catalog"]["C"]
@@ -755,6 +755,20 @@ class TestSolveCommand:
         expected = capsys.readouterr().out
         assert main(["solve", "--config", config, *flags]) == 0
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("config", ["solve_ties", "solve_sampled"])
+    def test_output_matches_golden(self, tmp_path, capsys, config):
+        # tests/golden/<config>.solution.json holds the solve output of its
+        # config. solve_ties has 300 equally popular files (beta = 0) at four
+        # secrecy levels, so MPC, LCC and the water-filling breakpoints all
+        # sort tied keys, and every file is interior; solve_sampled has
+        # capped, interior and zero files.
+        golden = (GOLDEN / f"{config}.solution.json").read_bytes()
+        out = tmp_path / "solution.json"
+        assert main(["solve", "--config", str(GOLDEN / f"{config}.json"),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.encode() == golden
+        assert out.read_bytes() == golden
 
 
 # Strings that json must escape, and ones holding the ", " separator.
@@ -779,6 +793,35 @@ def test_json_text_is_json_dumps_indent_2(doc, sort_keys):
     assert _json_text(doc, sort_keys=sort_keys) == json.dumps(
         doc, indent=2, sort_keys=sort_keys
     )
+
+
+# Floats whose bits differ while they compare equal (0.0 and -0.0, NaNs with
+# two payloads), non-finite ones, the least subnormal and a float whose repr
+# has an exponent.
+FLOAT_POOL = np.array(
+    [0.0, -0.0, np.nan, np.uint64(0x7FF8000000000001).view(np.float64),
+     np.inf, -np.inf, 5e-324, 1e16, 0.1, 1.0]
+)
+ARRAYS = st.lists(st.integers(0, len(FLOAT_POOL) - 1), max_size=12).map(
+    lambda i: FLOAT_POOL[i]
+) | st.sampled_from(
+    # Empty and one-element float64; strided; other dtypes and shapes.
+    [FLOAT_POOL[:0], FLOAT_POOL[2:3], FLOAT_POOL[::3], np.float32([0.1, -0.0]),
+     np.arange(3), np.eye(2)]
+)
+STRING_LISTS = st.lists(JSON_STRINGS, min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=12)
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(leaf=ARRAYS | STRING_LISTS, key=JSON_STRINGS, sort_keys=st.booleans())
+def test_json_text_encodes_arrays_and_string_lists_as_json_dumps(leaf, key, sort_keys):
+    # Values repeat, so each distinct one is encoded once and reused.
+    for doc in (leaf, {key: leaf}, {"a": {key: [leaf, 1]}, "b": leaf}):
+        assert _json_text(doc, sort_keys=sort_keys) == json.dumps(
+            doc, indent=2, sort_keys=sort_keys, default=np.ndarray.tolist
+        )
 
 
 def child_env():
@@ -827,7 +870,9 @@ class TestProcessExit:
             head = proc.stdout.read(16)
             proc.stdout.close()
             assert proc.wait(timeout=120) == 0
-        expected = json.dumps(run_solve(parse_spec(doc)), indent=2) + "\n"
+        expected = json.dumps(
+            run_solve(parse_spec(doc)), indent=2, default=np.ndarray.tolist
+        ) + "\n"
         assert len(expected) > 2 * 2**16
         assert expected.encode().startswith(head)
         assert (tmp_path / "solution.json").read_text() == expected

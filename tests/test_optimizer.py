@@ -359,6 +359,32 @@ class TestBaselines:
         assert np.allclose(p_mpc, p_lcc)
 
 
+def test_tied_keys_go_to_the_lower_index(monkeypatch):
+    # 300 equally popular files at four secrecy levels: the popularity, the
+    # secrecy levels and the water-filling breakpoints all tie, and the
+    # default sort reorders ties. Every placement must equal the one that
+    # sorts with kind="stable".
+    levels = np.random.default_rng(30).choice([0.05, 0.1, 0.2, 0.3], 300)
+    params = default_params(gamma_e=db_to_linear(-25.0))
+    catalogs = [make_catalog(300, 0.0, levels, size) for size in (10, 20, 200)]
+
+    def placements():
+        return [
+            (mpc_placement(cat, params).p.tobytes(),
+             lcc_placement(cat, params).p.tobytes(),
+             solve_ocp(cat, params).policy.p.tobytes(),
+             solve_ocp(cat, params).active_set,
+             solve_ocp(cat, params).dual)
+            for cat in catalogs
+        ]
+
+    got = placements()
+    monkeypatch.setattr(
+        optimizer, "_argsort", lambda key: np.argsort(key, kind="stable")
+    )
+    assert got == placements()
+
+
 def test_caps_shrink_with_level():
     params = default_params()
     cat = make_catalog(4, 0.7, [0.1, 0.3, 0.6, 0.9], 2)
