@@ -186,6 +186,14 @@ def _probability(value, path):
     return value
 
 
+def _nonnegative(value, path):
+    """A JSON number that is finite and >= 0 as a float."""
+    value = _number(value, path)
+    if not 0.0 <= value < np.inf:
+        raise SpecError(f"{path} must be finite and >= 0, got {value!r}")
+    return value
+
+
 def _threshold(value, path):
     """A JSON number of dB as a linear SIR threshold: a positive, finite float."""
     value = _number(value, path)
@@ -264,10 +272,11 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
             )
         if not sweep_values:
             raise SpecError("sweep values must be non-empty")
-        if sweep_var in ("gamma_e", "p_i"):  # gamma_e values stay in dB
-            check = _threshold if sweep_var == "gamma_e" else _probability
-            for i, value in enumerate(sweep_values):
-                check(value, f"sweep.values[{i}]")
+        # Read here, so that an error names the value; gamma_e stays in dB.
+        checks = {"gamma_e": _threshold, "p_i": _probability}  # beta and D: >= 0
+        check = checks.get(sweep_var, _nonnegative)
+        for i, value in enumerate(sweep_values):
+            check(value, f"sweep.values[{i}]")
         if any(b <= a for a, b in zip(sweep_values, sweep_values[1:])):
             raise SpecError("sweep values must be strictly increasing")
 
@@ -310,9 +319,7 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
     for key in ("hit_p", "secrecy_p"):
         validate[key] = _number_list(validate[key], f"validate.{key}", _probability)
     for key in ("hit_tol", "secrecy_tol"):  # max(ci, tol) needs a finite tol >= 0
-        tol = validate[key] = _number(validate[key], f"validate.{key}")
-        if not 0.0 <= tol < np.inf:
-            raise SpecError(f"validate.{key} must be finite and >= 0, got {tol!r}")
+        validate[key] = _nonnegative(validate[key], f"validate.{key}")
 
     return ExperimentSpec(
         params=params,

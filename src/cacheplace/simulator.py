@@ -53,7 +53,8 @@ same conditional Monte Carlo as for the fades); at p = 1 it is S_0, the
 first eligible BS's value. Only head BSs and records get a guard check.
 Each success value's product stops at the end of its chunk, so a file's
 score depends only on the scene and its own p: entry i of a call equals a
-one-file call at p[i] with the same seed, bit for bit.
+one-file call at p[i] with the same seed, bit for bit. A chunk's head BSs,
+records and controls (below) are scored in one pass, each from its own row.
 
 Each trial also scores a control C (Lavenberg & Welch, Mgmt. Sci. 1981):
 the success value of the first BS beyond the exclusion, whatever its
@@ -141,16 +142,17 @@ def _reach(params):
     R holds _MIN_EXPECTED_BS expected base stations, or is twice the guard
     radius if that is not beyond it.
     """
-    lam_pi = math.pi * params.bs_density
+    lam_pi, radius = math.pi * params.bs_density, params.guard_radius
     rho = math.sqrt(_CHUNK / lam_pi)  # mean radius of a first chunk
-    eav = params.eaves_density * math.pi * (rho + params.guard_radius) ** 2
+    # Eavesdroppers are drawn only where a guard zone can mute (_draw_chunk).
+    eav = params.eaves_density * math.pi * (rho + radius) ** 2 if radius > 0.0 else 0.0
     points = _BLOCK_ROWS * (_CHUNK + eav)
     if not points <= _MAX_CHUNK_POINTS:
         raise SimulationConfigError(
             f"a chunk would draw {points:.3g} points on average; at most "
             f"{_MAX_CHUNK_POINTS:.0e} fit in memory"
         )
-    guard = lam_pi * params.guard_radius**2
+    guard = lam_pi * radius**2
     return _MIN_EXPECTED_BS if guard < _MIN_EXPECTED_BS else 4.0 * guard
 
 
@@ -264,11 +266,13 @@ def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold
     Chunks are drawn while some row has no record below p_min yet, has not
     passed the reach and has not been closed by the bound on later servers;
     each chunk is walked only by those rows, from each row's running
-    minimum. Only head BSs and records get a guard check.
+    minimum. Only head BSs and records get a guard check. The servers a
+    chunk completes are scored together, each in a slot: m for the m-th head
+    BS, _HEAD for a control and _HEAD + 1 for a record.
     """
     half_alpha = params.alpha / 2.0
     powers, tables, found = [], [], []  # per chunk: s^(alpha/2), _guard_table
-    controls, uncontrolled = [], np.ones(rows, bool)
+    uncontrolled = np.ones(rows, bool)
     start = np.zeros(rows)
     best = np.full(rows, np.inf)  # minimum uniform of the walked BSs so far
     open_rows = np.arange(rows)
@@ -308,24 +312,22 @@ def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold
             row, col = row[muted], col[muted]
             eligible[row, col] = False
             redo = row[np.append(True, row[1:] != row[:-1])]  # sorted, once each
-        # The control: the first BS beyond the exclusion of each row without one.
-        wanting = np.flatnonzero(uncontrolled[open_rows])
-        beyond = s[wanting] > exclusion
-        has = beyond.any(axis=1)
-        c_row, c_col = wanting[has], beyond[has].argmax(axis=1)
-        uncontrolled[open_rows[c_row]] = False
-        trial = open_rows[c_row]
-        terms = _success_terms(powers, trial, c_col, threshold)
-        controls.append((trial, *terms, start[trial]))
+        # The servers the chunk completes, and their slots (see the docstring).
+        row, col = np.nonzero(head | record)
+        slot = np.full(row.size, _HEAD + 1)
         if not chunk:
             k = head.sum(axis=1)
-            row, col = np.nonzero(head)
-            head_at = (np.arange(row.size) - (np.cumsum(k) - k)[row], row)
-            head_terms = (*_success_terms(powers, row, col, threshold), start[row])
-        row, col = np.nonzero(record)
+            ranked = head[row, col]
+            slot[ranked] = np.arange(k.sum()) - (np.cumsum(k) - k)[row[ranked]]
+        # s rises along a row: a row has a BS beyond the exclusion if its last is.
+        wanting = np.flatnonzero(uncontrolled[open_rows] & (s[:, -1] > exclusion))
+        uncontrolled[open_rows[wanting]] = False
+        row = np.append(wanting, row)
+        col = np.append((s[wanting] > exclusion).argmax(axis=1), col)
+        slot = np.append(np.full(wanting.size, _HEAD), slot)
         trial = open_rows[row]
-        terms = _success_terms(powers, trial, col, threshold)
-        found.append((trial, u[row, col], before[row, col], *terms, start[trial]))
+        terms = *_success_terms(powers, trial, col, threshold), start[trial]
+        found.append((slot, trial, u[row, col], before[row, col], *terms))
         best[open_rows] = np.minimum(best[open_rows], u.min(axis=1))
         open_rows = open_rows[(best[open_rows] >= p_min) & (start[open_rows] < reach)]
         if open_rows.size and not chunk & (chunk + 1):  # chunks 0, 1, 3, 7, ...
@@ -335,16 +337,13 @@ def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold
             np.divide(threshold * drawn[:, -1:], drawn, out=drawn)
             bound = np.log1p(drawn, out=drawn).sum(axis=1)
             open_rows = open_rows[bound <= _LOG_EPSILON]
-    row, u, before, *records = map(np.concatenate, zip(*found))
-    controlled, *control_terms = map(np.concatenate, zip(*controls))
-    x, log_sum, s_last = map(np.concatenate, zip(head_terms, control_terms, records))
+    slot, row, u, before, x, log_sum, s_last = map(np.concatenate, zip(*found))
     v = np.exp(-(log_sum + _far_field(x, s_last, params.alpha)))
-    v_head, v_control, v = np.split(v, np.cumsum([len(head_at[0]), len(controlled)]))
-    head = np.zeros((_HEAD, rows))
-    head[head_at] = v_head
-    control = np.zeros(rows)
-    control[controlled] = v_control
-    return head, k, row, u, before, v, control
+    record = slot > _HEAD
+    scattered = np.zeros((_HEAD + 1, rows))
+    scattered[slot[~record], row[~record]] = v[~record]
+    head, control = scattered[:_HEAD], scattered[_HEAD]
+    return head, k, row[record], u[record], before[record], v[record], control
 
 
 def _far_field(x, s_last, alpha):

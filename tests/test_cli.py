@@ -576,6 +576,19 @@ class TestValidateCommand:
             "hit_tol": 0.01, "secrecy_tol": 0.015,
         }
 
+    def test_dense_eavesdroppers_without_guard_zone_run(self, tmp_path):
+        # Without a guard zone no eavesdropper is drawn, so none counts
+        # against the simulator's memory bound.
+        params = {"guard_radius": 0.0, "eaves_density": 100.0 / 800.0**2}
+        config = write_config(
+            tmp_path,
+            {"params": params, "catalog": SMALL_CATALOG,
+             "sim": {"trials": 200, "seed": 1}},
+        )
+        out = str(tmp_path / "validate.csv")
+        assert main(["validate", "--config", config, "--out", out]) in (0, 1)
+        assert os.path.exists(out)
+
     def test_requires_simulation(self, tmp_path):
         config = write_config(tmp_path, {"catalog": SMALL_CATALOG})
         assert main(["validate", "--config", config, "--no-sim"]) == 2
@@ -1209,6 +1222,38 @@ class TestTypedConfig:
         assert main([argv[0], "--config", config, "--out", str(out), *argv[1:]]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message} in [0, 1], got ")
+        assert len(err.splitlines()) == 1
+        assert calls == {"hit": [], "secrecy": []}
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("variable", "values", "index"),
+        [
+            ("beta", [0.5, -0.5], 1),
+            ("beta", [math.nan], 0),
+            ("beta", [0.5, math.inf], 1),
+            ("D", [-5.0, 100.0], 0),
+            ("D", [100.0, math.nan], 1),
+            ("D", [100.0, 200.0, math.inf], 2),
+        ],
+    )
+    def test_sweep_value_out_of_range_names_its_index(
+        self, tmp_path, capsys, monkeypatch, variable, values, index
+    ):
+        # beta and D sweep values are read when the config is, so the error
+        # names the value before any point is evaluated or simulated.
+        calls = count_file_simulations(monkeypatch)
+        config = write_config(
+            tmp_path,
+            {"catalog": SMALL_CATALOG,
+             "sweep": {"variable": variable, "values": values},
+             "sim": {"trials": 20, "seed": 1}},
+        )
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        message = f"error: sweep.values[{index}] must be finite and >= 0, got "
+        assert err.startswith(message)
         assert len(err.splitlines()) == 1
         assert calls == {"hit": [], "secrecy": []}
         assert not out.exists()

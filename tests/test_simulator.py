@@ -172,6 +172,35 @@ class TestConfigAndEstimate:
         with pytest.raises(SimulationConfigError, match="fit in memory"):
             simulate_file_hit([0.5], params, SimConfig(trials=1))
 
+    @pytest.mark.parametrize(
+        ("guard_radius", "fits", "too_many"),
+        [(200.0, 53.8, 54.0), (1500.0, 29.9, 30.1)],
+    )
+    def test_first_chunk_bounds_the_eavesdropper_density(
+        self, guard_radius, fits, too_many
+    ):
+        # A block's first chunk holds 256 x 64 BSs and the eavesdroppers a
+        # guard check from them can see, 10^6 expected points at the most.
+        def params(ratio):
+            return default_params(
+                guard_radius=guard_radius, eaves_density=ratio * BS_DENSITY
+            )
+
+        simulator._reach(params(fits))
+        with pytest.raises(SimulationConfigError, match="fit in memory"):
+            simulator._reach(params(too_many))
+
+    def test_no_guard_zone_draws_no_eavesdroppers(self):
+        # Without a guard zone no eavesdropper can mute a BS, so none is drawn,
+        # none counts against the memory bound, and none moves an estimate.
+        crowded = default_params(guard_radius=0.0, eaves_density=100.0 * BS_DENSITY)
+        assert simulator._reach(crowded) == simulator._MIN_EXPECTED_BS
+        empty = replace(crowded, eaves_density=0.0)
+        cfg = SimConfig(trials=300, seed=2)
+        p = [0.05, 0.5, 1.0]
+        for simulate in (simulate_file_hit, simulate_file_secrecy):
+            assert_same_estimates(simulate(p, crowded, cfg), simulate(p, empty, cfg))
+
     def test_exact_halfwidth_at_zero_or_all_successes(self, monkeypatch):
         # At an estimate of 0 or 1 the sample variance is 0; a simulated file
         # there gets the exact Clopper-Pearson one, 1 - 0.025^(1/n). Files with
