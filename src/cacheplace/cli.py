@@ -262,7 +262,7 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
     catalog = _build_catalog(catalog_doc, config_dir)
 
     sweep_var, sweep_values = None, []
-    if doc.get("sweep"):
+    if doc.get("sweep") is not None:  # a section present, even empty, is read
         sweep = _object(doc["sweep"], "sweep")
         sweep_var = sweep.get("variable")
         sweep_values = _number_list(sweep.get("values", []), "sweep.values")
@@ -302,9 +302,9 @@ def parse_spec(doc, config_dir=".", seed=None, trials=None, out=None, no_sim=Fal
     if "FIXED" in schemes and fixed_policy is None:
         raise SpecError("scheme FIXED requires a fixed_policy")
 
-    sim = None
-    if not no_sim and (doc.get("sim") or trials is not None or seed is not None):
-        sim_doc = _object(doc.get("sim") or {}, "sim")
+    sim, sim_doc = None, doc.get("sim")
+    if not no_sim and (sim_doc is not None or trials is not None or seed is not None):
+        sim_doc = _object({} if sim_doc is None else sim_doc, "sim")
         if trials is None:
             trials = _integer(sim_doc.get("trials", SimConfig.trials), "sim.trials")
         if seed is None:
@@ -672,9 +672,9 @@ def main(argv=None):
     except (SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, ConvergenceError) as exc:
-        # The input drove a closed form out of floating-point range, or a
-        # quadrature past its error budget.
+    except (ArithmeticError, ConvergenceError, MemoryError) as exc:
+        # The input drove a closed form out of floating-point range, a
+        # quadrature past its error budget, or an array past memory.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     try:

@@ -21,22 +21,24 @@ variance.
 Trials run in blocks of _BLOCK_ROWS rows. A block draws the BSs nearest the
 origin in chunks of _CHUNK per row, continuing each row's partial sums of
 unit exponentials (pi lam r^2, in distance order), with the eavesdroppers
-that a guard check from those BSs can see. The hit simulator draws from
-stream 0 of the seed and the secrecy simulator from stream 1, keyed on
-SeedSequence([seed, stream]); chunk c of block b of a stream has its own
-generator, keyed on (key, b, c), and is drawn for every row, so the draws
-depend only on the seed, the stream and the trial count, never on p or on
-the thresholds. Chunks are drawn while some row is open: it has an unserved
-file, has not passed the reach (_reach), and a later server could still
-score above epsilon = e^-40, about 4e-18. A server beyond the last BS drawn,
-at r_L, scores at most prod_j 1 / (1 + theta (r_L / r_j)^alpha) over the
-drawn BSs, all of which interfere with it, so a row closes once that bound
-falls below epsilon; it is checked after chunks 0, 1, 3, 7, ... of the
-block. A file with no eligible BS within reach, or none before its row
-closed, scores 0 for hit and 1 for secrecy. That is off by less than
-epsilon where the bound closed the row, not where the reach stopped it: a
-server beyond the reach can still succeed, so at small p and low thresholds
-the estimate is biased low for hit and high for secrecy.
+that a guard check from those BSs can see, in a table sorted by row, then by
+distance from the origin. The hit simulator draws from stream 0 of the seed
+and the secrecy simulator from stream 1, keyed on SeedSequence([seed,
+stream]); chunk c of block b of a stream has its own generator, keyed on
+(key, b, c), and is drawn for every row, so the draws depend only on the
+seed, the stream and the trial count, never on p or on the thresholds.
+Chunks are drawn while some row is open: it has an unserved file, has not
+passed the reach (_reach), and a later server could still score above
+epsilon = e^-40, about 4e-18. A server beyond the last BS drawn, at r_L,
+scores at most prod_j 1 / (1 + theta (r_L / r_j)^alpha) over the drawn BSs,
+all of which interfere with it: the last BS's own product, scored as any
+server's is, times its own factor. A row closes once that bound falls below
+epsilon; it is checked after chunks 0, 1, 3, 7, ... of the block. A file
+with no eligible BS within reach, or none before its row closed, scores 0
+for hit and 1 for secrecy. That is off by less than epsilon where the bound
+closed the row, not where the reach stopped it: a server beyond the reach
+can still succeed, so at small p and low thresholds the estimate is biased
+low for hit and high for secrecy.
 
 All files of a trial share its scene (common random numbers). A BS is
 eligible if it lies beyond the exclusion and within reach and its guard zone
@@ -157,14 +159,17 @@ def _reach(params):
 
 
 def _draw_chunk(seed, block, chunk, params, start):
-    """Chunk `chunk` of block `block`; returns (s, cache_u, angle, eav).
+    """Chunk `chunk` of block `block`; returns (s, cache_u, angle, table).
 
     Row t of s continues trial t's partial sums of unit exponentials from
     start[t] (0 before the first chunk) for _CHUNK more BSs: s = pi lam r^2.
-    Each BS gets a caching uniform and an angle. eav holds, as complex
-    positions padded with nan, a Poisson number of uniform eavesdroppers in
-    the annulus (rho_start + D, rho_end + D], a disk for the first chunk;
-    it has no columns when no guard zone can mute.
+    Each BS gets a caching uniform and an angle. Row t also gets a Poisson
+    number of uniform eavesdroppers in the annulus (rho_start + D, rho_end + D],
+    a disk for the first chunk, which table holds as (key, position, scale),
+    sorted by key: eavesdropper e of row t has the complex position e and key
+    t scale + |e|, and scale keeps each row's keys, widened by the guard
+    radius, apart from the next row's. table is None when no guard zone can
+    mute or no eavesdropper was drawn.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block, chunk)))
     rows = len(start)
@@ -173,43 +178,35 @@ def _draw_chunk(seed, block, chunk, params, start):
     angle = 2.0 * math.pi * rng.random((rows, _CHUNK))
     guard = params.guard_radius
     if not (guard > 0.0 and params.eaves_density > 0.0):
-        return s, cache_u, angle, np.empty((rows, 0), complex)
+        return s, cache_u, angle, None
     lam_pi = math.pi * params.bs_density
     inner2 = (np.sqrt(start / lam_pi) + guard) ** 2 if chunk else np.zeros(rows)
     area = (np.sqrt(s[:, -1] / lam_pi) + guard) ** 2 - inner2
     count = rng.poisson(params.eaves_density * math.pi * area)
     width = count.max()
-    radius = np.sqrt(inner2[:, None] + area[:, None] * rng.random((rows, width)))
-    phase = 2.0 * math.pi * rng.random((rows, width))
-    eav = np.empty((rows, width), complex)
-    eav.real, eav.imag = radius * np.cos(phase), radius * np.sin(phase)
-    eav[np.arange(width) >= count[:, None]] = np.nan
-    return s, cache_u, angle, eav
-
-
-def _guard_table(eav, guard):
-    """A chunk's eavesdroppers sorted by row, then by distance from the origin.
-
-    Returns (key, position, scale): eavesdropper e of block row t has key
-    t scale + |e|, and scale keeps each row's keys, widened by the guard
-    radius, apart from the next row's.
-    """
-    row, col = np.nonzero(~np.isnan(eav.real))
-    position = eav[row, col]
+    if not width:
+        return s, cache_u, angle, None
+    # Full rectangles are drawn, and each row keeps its first count entries.
+    row, col = np.nonzero(np.arange(width) < count[:, None])
+    radius = np.sqrt(inner2[row] + area[row] * rng.random((rows, width))[row, col])
+    phase = 2.0 * math.pi * rng.random((rows, width))[row, col]
+    position = np.empty(row.size, complex)
+    position.real, position.imag = radius * np.cos(phase), radius * np.sin(phase)
     distance = np.abs(position)
     scale = 4.0 * (distance.max() + guard) + 1.0
     key = row * scale + distance
     order = np.argsort(key)
-    return key[order], position[order], scale
+    return s, cache_u, angle, (key[order], position[order], scale)
 
 
 def _muted(s, angle, rows, tables, params):
     """Whether an eavesdropper lies within the guard radius of each BS.
 
     BS i sits at s[i] = pi lam r^2 and angle[i] in block row rows[i]; tables
-    holds the _guard_table of each chunk drawn. A BS is compared only with
-    the eavesdroppers of its row whose distance from the origin is within
-    the guard radius of r, and a margin for rounding.
+    holds the guard table of each chunk drawn that has one (_draw_chunk). A
+    BS is compared only with the eavesdroppers of its row whose distance
+    from the origin is within the guard radius of r, and a margin for
+    rounding.
     """
     guard = params.guard_radius
     radius = np.sqrt(s / (math.pi * params.bs_density))
@@ -226,25 +223,17 @@ def _muted(s, angle, rows, tables, params):
     return muted
 
 
-def _side_by_side(chunks, rows):
-    """Rows `rows` of each chunk's array, side by side, in a new array.
-
-    Callers overwrite it; with one chunk drawn there is nothing to join.
-    """
-    if len(chunks) == 1:
-        return chunks[0][rows]
-    return np.concatenate([c[rows] for c in chunks], axis=1)
-
-
 def _success_terms(powers, rows, col, threshold):
     """(x, log-product) of a server at column col of the last chunk, per row.
 
-    powers holds each chunk's s^(alpha/2). The log-product is the sum of
+    powers holds each chunk's s^(alpha/2), copied side by side for the rows
+    (with one chunk drawn, nothing is joined). The log-product is the sum of
     log1p(theta (r_s / r_j)^alpha) over the row's other BSs drawn so far,
-    and x = theta (r_s / r_L)^alpha at the last of them, r_L.
+    and x = theta (r_s / r_L)^alpha at the last of them, r_L; the closing
+    bound of _block_records is this pair at r_L itself, col = _CHUNK - 1.
     """
     server = threshold * powers[-1][rows, col]
-    factor = _side_by_side(powers, rows)
+    factor = np.hstack([c[rows] for c in powers]) if len(powers) > 1 else powers[0][rows]
     x = server / factor[:, -1]
     np.divide(server[:, None], factor, out=factor)
     factor[np.arange(len(rows)), factor.shape[1] - _CHUNK + col] = 0.0  # the server
@@ -271,17 +260,17 @@ def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold
     BS, _HEAD for a control and _HEAD + 1 for a record.
     """
     half_alpha = params.alpha / 2.0
-    powers, tables, found = [], [], []  # per chunk: s^(alpha/2), _guard_table
+    powers, tables, found = [], [], []  # s^(alpha/2) per chunk, guard tables
     uncontrolled = np.ones(rows, bool)
     start = np.zeros(rows)
     best = np.full(rows, np.inf)  # minimum uniform of the walked BSs so far
     open_rows = np.arange(rows)
     while open_rows.size:
         chunk = len(powers)
-        s, cache_u, angle, eav = _draw_chunk(seed, block, chunk, params, start)
+        s, cache_u, angle, table = _draw_chunk(seed, block, chunk, params, start)
         powers.append(s**half_alpha)
-        if eav.shape[1]:
-            tables.append(_guard_table(eav, params.guard_radius))
+        if table is not None:
+            tables.append(table)
         start = s[:, -1]
         s, cache_u, angle = s[open_rows], cache_u[open_rows], angle[open_rows]
         eligible = (s > exclusion) & (s <= reach)
@@ -331,12 +320,10 @@ def _block_records(seed, block, rows, params, reach, p_min, exclusion, threshold
         best[open_rows] = np.minimum(best[open_rows], u.min(axis=1))
         open_rows = open_rows[(best[open_rows] >= p_min) & (start[open_rows] < reach)]
         if open_rows.size and not chunk & (chunk + 1):  # chunks 0, 1, 3, 7, ...
-            # A later server lies beyond the last BS drawn, so each drawn BS
-            # interferes with it at least as much as with a server there.
-            drawn = _side_by_side(powers, open_rows)
-            np.divide(threshold * drawn[:, -1:], drawn, out=drawn)
-            bound = np.log1p(drawn, out=drawn).sum(axis=1)
-            open_rows = open_rows[bound <= _LOG_EPSILON]
+            # A later server lies beyond r_L, the last BS drawn: each drawn BS,
+            # that one too, interferes with it at least as much as with r_L.
+            x, log_sum = _success_terms(powers, open_rows, _CHUNK - 1, threshold)
+            open_rows = open_rows[log_sum + np.log1p(x) <= _LOG_EPSILON]
     slot, row, u, before, x, log_sum, s_last = map(np.concatenate, zip(*found))
     v = np.exp(-(log_sum + _far_field(x, s_last, params.alpha)))
     record = slot > _HEAD

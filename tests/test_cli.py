@@ -32,7 +32,7 @@ from cacheplace.cli import (
     run_validate,
 )
 from cacheplace.optimizer import mpc_placement
-from cacheplace.simulator import simulate_file_hit, simulate_file_secrecy
+from cacheplace.simulator import SimConfig, simulate_file_hit, simulate_file_secrecy
 from cacheplace.special import ConvergenceError
 
 
@@ -1078,6 +1078,9 @@ class TestTypedConfig:
             ({"schemes": "OCP"}, "schemes"),
             ({"fixed_policy": [0.5, None]}, "fixed_policy[1]"),
             ({"output": 1}, "output"),
+            ({"sweep": []}, "sweep must be a JSON object, got []"),
+            ({"sweep": False}, "sweep must be a JSON object, got False"),
+            ({"sweep": {}}, "sweep variable must be one of"),
         ],
     )
     def test_wrong_type_exits_2(self, tmp_path, capsys, doc, path):
@@ -1104,6 +1107,40 @@ class TestTypedConfig:
                                          "sim": {"trials": 2.5, "seed": 1}})
         assert main(["validate", "--config", config]) == 2
         assert "error: sim.trials must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [False, [], 0, "yes"])
+    @pytest.mark.parametrize("command", ["sweep", "validate"])
+    def test_sim_section_is_read_by_presence(self, tmp_path, capsys, command, value):
+        # A sim section that is present and not null is read by type: one
+        # that is not an object exits 2, and never turns simulation off.
+        # solve and --no-sim never read it.
+        config = write_config(tmp_path, {
+            "catalog": SMALL_CATALOG, "sim": value,
+            "sweep": {"variable": "beta", "values": [0.5]},
+        })
+        out = str(tmp_path / "out.csv")
+        assert main([command, "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: sim must be a JSON object, got {value!r}\n"
+        assert main(["solve", "--config", config]) == 0
+        assert main(["sweep", "--config", config, "--out", out, "--no-sim"]) == 0
+
+    def test_empty_sim_section_simulates_at_the_defaults(self):
+        assert parse_spec({"sim": {}}).sim == SimConfig()
+        assert parse_spec({"sim": {"seed": 3}}).sim == SimConfig(seed=3)
+        assert parse_spec({"sim": None}).sim is None
+        assert parse_spec({"sim": {}}, no_sim=True).sim is None
+
+    def test_catalog_past_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The allocation is patched, not made: on a host that overcommits
+        # memory, a real request of terabytes could succeed and touch pages.
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr("cacheplace.cli.sample_secrecy_levels", too_large)
+        config = write_config(tmp_path, {"catalog": {"F": 10**12, "C": 5}})
+        assert main(["solve", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: MemoryError: Unable to allocate 7.28 TiB for an array\n"
 
     def test_integral_floats_still_count(self):
         spec = parse_spec({"catalog": {"F": 10.0, "C": 5.0},

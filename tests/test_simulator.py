@@ -59,45 +59,58 @@ def draw_chunks(seed, block, chunks, rows, params):
     return drawn
 
 
+def row_eavesdroppers(table, t):
+    """Row t's eavesdroppers in a chunk's guard table: none if it has no table."""
+    if table is None:
+        return np.empty(0, complex)
+    key, position, scale = table
+    lo, hi = np.searchsorted(key, [(t - 0.5) * scale, (t + 0.5) * scale])
+    return position[lo:hi]
+
+
 class TestBlockDraw:
     def draw(self, seed, rows=3_000, chunks=2, **overrides):
         return draw_chunks(seed, 0, chunks, rows, default_params(**overrides))
 
     def test_zero_density_is_empty(self):
-        (*_, eav), = self.draw(0, rows=5, chunks=1, eaves_density=0.0)
-        assert eav.shape == (5, 0)
+        for overrides in (dict(eaves_density=0.0), dict(guard_radius=0.0)):
+            (*_, table), = self.draw(0, rows=5, chunks=1, **overrides)
+            assert table is None
 
     def test_mean_count(self):
         # Each chunk adds _CHUNK BSs per row, and a Poisson number of
         # eavesdroppers with mean lambda_e times the area of its annulus.
         params = default_params()
         inner2 = np.zeros(3_000)
-        for s, cache_u, _, eav in self.draw(1):
+        for s, cache_u, _, table in self.draw(1):
             assert s.shape == cache_u.shape == (3_000, simulator._CHUNK)
             outer2 = (np.sqrt(s[:, -1] / LAM_PI) + params.guard_radius) ** 2
             mean = params.eaves_density * math.pi * (outer2 - inner2)
-            counts = np.isfinite(eav).sum(axis=1)
+            counts = [len(row_eavesdroppers(table, t)) for t in range(3_000)]
+            assert sum(counts) == len(table[0])
             assert np.mean(counts) == pytest.approx(np.mean(mean), rel=0.03)
             assert np.all((cache_u >= 0.0) & (cache_u < 1.0))
             inner2 = outer2
 
     def test_distance_order_inside_window(self):
-        # Distances increase along a row and across chunks, and a chunk's
-        # eavesdroppers lie in its annulus (rho_prev + D, rho + D].
+        # Distances increase along a row and across chunks, a chunk's
+        # eavesdroppers lie in its annulus (rho_prev + D, rho + D], and its
+        # table is sorted by row, then by distance from the origin.
         guard = default_params().guard_radius
-        (s0, _, angle, eav0), (s1, _, _, eav1) = self.draw(2)
+        (s0, _, angle, table0), (s1, _, _, table1) = self.draw(2)
         row = np.hstack([s0, s1])
         assert np.all(np.diff(row, axis=1) > 0.0) and np.all(row[:, 0] > 0.0)
         assert np.all((angle >= 0.0) & (angle < 2.0 * math.pi))
         rho0, rho1 = np.sqrt(s0[:, -1] / LAM_PI), np.sqrt(s1[:, -1] / LAM_PI)
-        for eav, inner, outer in ((eav0, 0.0, rho0 + guard), (eav1, rho0 + guard, rho1 + guard)):
-            radius = np.where(np.isfinite(eav), np.abs(eav), np.nan)
-            real = np.isfinite(radius)
-            assert np.all(np.isnan(radius[:, 1:]) >= np.isnan(radius[:, :-1]))  # padding trails
-            outer = np.broadcast_to(np.reshape(outer, (-1, 1)), radius.shape)
-            inner = np.broadcast_to(np.reshape(inner, (-1, 1)), radius.shape)
-            assert np.all(radius[real] <= outer[real] * (1.0 + 1e-12))
-            assert np.all(radius[real] >= inner[real] * (1.0 - 1e-12))
+        for table, inner, outer in ((table0, np.zeros_like(rho0), rho0 + guard),
+                                    (table1, rho0 + guard, rho1 + guard)):
+            key, _, scale = table
+            assert np.all(np.diff(key) >= 0.0)
+            for t in range(len(s0)):
+                radius = np.abs(row_eavesdroppers(table, t))
+                assert np.all(radius <= outer[t] * (1.0 + 1e-12))
+                assert np.all(radius >= inner[t] * (1.0 - 1e-12))
+                assert 4.0 * (radius.max(initial=0.0) + guard) < scale
 
     def test_mean_nearest_distance(self):
         # The nearest of a PPP has r^2 exponential with mean 1 / (lambda pi).
@@ -108,9 +121,9 @@ class TestBlockDraw:
 
     def test_seed_determinism(self):
         a, b = self.draw(7, rows=20), self.draw(7, rows=20)
-        for chunk_a, chunk_b in zip(a, b):
-            for x, y in zip(chunk_a, chunk_b):
-                assert np.array_equal(x, y, equal_nan=True)
+        for (*arrays_a, table_a), (*arrays_b, table_b) in zip(a, b):
+            for x, y in zip(arrays_a + list(table_a), arrays_b + list(table_b)):
+                assert np.array_equal(x, y)
         c = self.draw(8, rows=20)
         assert not np.array_equal(a[0][0], c[0][0])
 
@@ -147,15 +160,17 @@ def test_guard_check_agrees_with_every_eavesdropper_of_the_row():
     # must give what comparing it with all of them gives, over two chunks.
     params = default_params(guard_radius=600.0)
     chunks = draw_chunks(stream_seed(5, 0), 0, 2, 256, params)
-    tables = [simulator._guard_table(eav, params.guard_radius) for *_, eav in chunks]
-    eav = np.hstack([eav for *_, eav in chunks])
+    tables = [table for *_, table in chunks]
     rows = np.repeat(np.arange(256), simulator._CHUNK)
     for s, _, angle, _ in chunks:
         muted = simulator._muted(s.ravel(), angle.ravel(), rows, tables, params)
         position = np.sqrt(s / LAM_PI) * np.exp(1j * angle)
-        gap = np.abs(eav[:, None, :] - position[:, :, None])
-        every = (gap < params.guard_radius).any(axis=2).ravel()
-        assert np.array_equal(muted, every)
+        every = np.zeros(s.shape, bool)
+        for t in range(256):
+            eav = np.concatenate([row_eavesdroppers(table, t) for table in tables])
+            gap = np.abs(eav[None, :] - position[t, :, None])
+            every[t] = (gap < params.guard_radius).any(axis=1)
+        assert np.array_equal(muted, every.ravel())
         assert 0.01 < every.mean() < 0.99
 
 
@@ -413,7 +428,7 @@ class ReferenceScenes:
             if s[trial, col] <= self.excluded:
                 return False
             position = math.sqrt(s[trial, col] / LAM_PI) * np.exp(1j * angle[trial, col])
-            eav = np.concatenate([chunk(j)[3][trial] for j in range(c + 1)])
+            eav = np.concatenate([row_eavesdroppers(chunk(j)[3], trial) for j in range(c + 1)])
             return not np.any(np.abs(eav - position) < params.guard_radius)
 
         def value(k):
@@ -708,6 +723,32 @@ def test_rows_close_once_no_later_server_can_score(monkeypatch):
         assert drawn in ([0], [0, 1])
     assert simulator._reach(params) > 15 * simulator._CHUNK
     assert_matches_reference(p, params, cfg)
+
+
+@pytest.mark.parametrize("guard_radius", [200.0, 800.0, 1500.0])
+def test_engine_matches_closed_forms_under_independent_thinning(monkeypatch, guard_radius):
+    # The closed forms mute each BS independently with probability
+    # 1 - exp(-lambda_e pi D^2), while the guard check mutes BSs near one
+    # eavesdropper together. Under the closed forms' own rule, decided by the
+    # low bits of each BS's angle (so a BS checked again gets the same
+    # answer), they are exact, and the engine must meet them within 3 sigma
+    # plus the quadrature's error budget. Under the guard check, hit sits
+    # 4-6.5 sigma below them at p >= 0.8 for D = 800 and 1500 m: that is
+    # the model's dependent-thinning gap, not the engine's.
+    params = default_params(guard_radius=guard_radius)
+    share = 1.0 - math.exp(-params.eaves_density * math.pi * guard_radius**2)
+
+    def independent(s, angle, rows, tables, params):
+        return np.modf(angle * 2.0**24)[0] < share
+
+    monkeypatch.setattr(simulator, "_muted", independent)
+    p = np.array([0.05, 0.2, 0.5, 0.8, 1.0])
+    cfg = SimConfig(trials=4_000, seed=1)
+    for simulate, exact in ((simulate_file_hit, conditional_hit_probability),
+                            (simulate_file_secrecy, secrecy_probability_exact)):
+        est = simulate(p, params, cfg)
+        sigma = est.ci95_halfwidth / 1.96
+        assert np.all(np.abs(est.estimate - exact(p, params)) <= 3.0 * sigma + 1e-8)
 
 
 def indicator_reference(p, params, trials, seed, exclusion_radius, threshold):
